@@ -15,8 +15,8 @@ from .classical import (CohomClass, basis_class, class_from_parts,
                         unit_class, zero_class)
 from .quantum import (DEFAULT_SEED, GWRecord, StructureTable, build_table,
                       c_apply, giambelli_expand, gw_invariant, gw_record,
-                      load_table, quantum_pieri_invariant,
-                      quantum_pieri_product, quantum_product, save_table)
+                      quantum_pieri_invariant, quantum_pieri_product,
+                      quantum_product)
 from .involution import (bar, verify_dual_product_identity,
                          verify_duality_identities,
                          verify_involution_factorization,

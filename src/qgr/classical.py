@@ -85,19 +85,46 @@ class CohomClass:
     __mul__ = __rmul__
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
+        """Terms in basis order, e.g. "(2) - 3*(1,1)" or "-(1)"; 0 is "0"."""
+        text = ""
         for r, c in self.sorted_terms():
             lam = trim(self.ctx.basis[r])
             name = "(" + ",".join(map(str, lam)) + ")" if lam else "1"
-            bits.append(name if c == 1 else f"{c}*{name}")
-        return " + ".join(bits)
+            term = name if abs(c) == 1 else f"{abs(c)}*{name}"
+            if text:
+                text += (" + " if c > 0 else " - ") + term
+            else:
+                text = term if c > 0 else "-" + term
+        return text or "0"
 
 
 def _same_ctx(a, b):
     if a.ctx != b.ctx:
         raise ValueError(f"context mismatch: {a.ctx} vs {b.ctx}")
+
+
+def relabel(a, image):
+    """Move every term of a onto the basis diagram image(diagram).
+
+    image maps a fixed-length diagram of a's context to another one;
+    coefficients are carried over unchanged and summed where two terms
+    land on the same diagram, so the result is Z-linear in a.
+    """
+    ctx = a.ctx
+    out = {}
+    for rank, c in a.terms.items():
+        t = ctx.rank(image(ctx.basis[rank]))
+        out[t] = out.get(t, 0) + c
+    return CohomClass(ctx, out)
+
+
+def terms_json(a):
+    """The JSON term list of a class: [{"p": parts, "c": coefficient}].
+
+    Parts are trimmed of trailing zeros; terms come in basis order.
+    """
+    return [{"p": list(trim(a.ctx.basis[r])), "c": c}
+            for r, c in a.sorted_terms()]
 
 
 def zero_class(ctx):

@@ -11,25 +11,19 @@
 Exit codes: 0 success, 1 verification failure, 2 bad input or
 configuration, 3 degenerate spectrum.  --output json switches the
 class-valued commands to a terms array; verify and spectrum always
-emit JSON reports.  The structure-constant cache is opt-in via
---cache (mul and gw only); verification suites always recompute
-products so a stale cache can never mask a product bug.
+emit JSON reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import involution, quantum, spectrum
-from .classical import basis_class
-from .partitions import (GrassmannContext, parse_partition, poincare_dual,
-                         trim)
-from .quantum import DEFAULT_SEED, TABLE_FORMAT
-
-DEFAULT_CACHE_DIR = ".qgr-cache"
+from .classical import basis_class, terms_json
+from .partitions import GrassmannContext, parse_partition, poincare_dual
+from .quantum import DEFAULT_SEED
 
 
 class CliError(Exception):
@@ -50,63 +44,19 @@ def _parse(ctx, text, what):
         raise CliError(f"{what}: {exc}") from None
 
 
-def _render_class(a):
-    if not a.terms:
-        return "0"
-    bits = []
-    for rank, c in a.sorted_terms():
-        lam = trim(a.ctx.basis[rank])
-        name = "(" + ",".join(map(str, lam)) + ")" if lam else "1"
-        if c == 1:
-            bits.append(name)
-        elif c == -1:
-            bits.append("-" + name)
-        else:
-            bits.append(f"{c}*{name}")
-    return " + ".join(bits).replace("+ -", "- ")
-
-
-def _class_json(a):
-    return {"k": a.ctx.k, "n": a.ctx.n,
-            "terms": [{"p": list(trim(a.ctx.basis[r])), "c": c}
-                      for r, c in a.sorted_terms()]}
-
-
 def _emit_class(a, args):
     if args.output == "json":
-        print(json.dumps(_class_json(a), separators=(",", ":")))
+        print(json.dumps({"k": a.ctx.k, "n": a.ctx.n, "terms": terms_json(a)},
+                         separators=(",", ":")))
     else:
-        print(_render_class(a))
-
-
-def _cache_path(args):
-    cache_dir = args.cache_dir or os.environ.get("QGR_CACHE_DIR") \
-        or DEFAULT_CACHE_DIR
-    return os.path.join(cache_dir,
-                        f"table-k{args.k}-n{args.n}-v{TABLE_FORMAT}.json")
-
-
-def _table(ctx, args):
-    """Structure table for product commands: cached when --cache is set."""
-    if not getattr(args, "cache", False):
-        return None
-    path = _cache_path(args)
-    if os.path.exists(path):
-        try:
-            return quantum.load_table(path, ctx)
-        except (ValueError, OSError) as exc:
-            raise CliError(f"cache file {path}: {exc}") from None
-    table = quantum.build_table(ctx)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    quantum.save_table(table, path)
-    return table
+        print(a)
 
 
 def cmd_mul(args):
     ctx = _context(args)
     a = basis_class(ctx, _parse(ctx, args.a, "--a"))
     b = basis_class(ctx, _parse(ctx, args.b, "--b"))
-    _emit_class(quantum.quantum_product(a, b, table=_table(ctx, args)), args)
+    _emit_class(quantum.quantum_product(a, b), args)
     return 0
 
 
@@ -135,8 +85,7 @@ def cmd_gw(args):
     ctx = _context(args)
     rec = quantum.gw_record(ctx, _parse(ctx, args.a, "--a"),
                             _parse(ctx, args.b, "--b"),
-                            _parse(ctx, args.c, "--c"),
-                            table=_table(ctx, args))
+                            _parse(ctx, args.c, "--c"))
     if args.output == "json":
         print(json.dumps({"value": rec.value, "d": rec.degree_d},
                          separators=(",", ":")))
@@ -152,7 +101,7 @@ SUITES = {"ring", "involution", "spectrum", "all"}
 
 def _run_suites(ctx, which, tol, seed):
     reports = []
-    table = quantum.build_table(ctx)  # fresh: never read from disk cache
+    table = quantum.build_table(ctx)
     if which in ("ring", "all"):
         reports.append(quantum.verify_commutativity(ctx))
         reports.append(quantum.verify_associativity(ctx, seed=seed,
@@ -219,19 +168,13 @@ def build_parser():
         description="Exact quantum cohomology of the Grassmannian at q=1.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache=False):
+    def common(p):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--output", choices=("text", "json"), default="text")
-        if cache:
-            p.add_argument("--cache", action="store_true",
-                           help="use the structure-constant cache")
-            p.add_argument("--cache-dir", default=None,
-                           help="cache directory (default $QGR_CACHE_DIR "
-                                f"or ./{DEFAULT_CACHE_DIR})")
 
     p = sub.add_parser("mul", help="quantum product of two basis diagrams")
-    common(p, cache=True)
+    common(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=cmd_mul)
@@ -253,7 +196,7 @@ def build_parser():
     p.set_defaults(func=cmd_cshift)
 
     p = sub.add_parser("gw", help="three-point invariant and curve degree")
-    common(p, cache=True)
+    common(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)

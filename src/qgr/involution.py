@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .classical import CohomClass, basis_class, pairing, row_class
+from .classical import basis_class, pairing, relabel, row_class, terms_json
 from .partitions import bar_involution, c_shift, poincare_dual, trim
 from .quantum import (DEFAULT_SEED, gw_invariant, quantum_pieri_invariant,
                       quantum_product)
@@ -22,26 +22,7 @@ from .reports import VerifyReport
 
 def bar(a):
     """Relabel every basis term by the diagram involution."""
-    ctx = a.ctx
-    out = {}
-    for rank, c in a.terms.items():
-        t = ctx.rank(bar_involution(ctx.basis[rank], ctx.k))
-        out[t] = out.get(t, 0) + c
-    return CohomClass(ctx, out)
-
-
-def _dual_class(a):
-    ctx = a.ctx
-    out = {}
-    for rank, c in a.terms.items():
-        t = ctx.rank(poincare_dual(ctx.basis[rank], ctx.k))
-        out[t] = out.get(t, 0) + c
-    return CohomClass(ctx, out)
-
-
-def _terms_json(a):
-    return [{"p": list(trim(a.ctx.basis[r])), "c": c}
-            for r, c in a.sorted_terms()]
+    return relabel(a, lambda lam: bar_involution(lam, a.ctx.k))
 
 
 def verify_involution_factorization(ctx):
@@ -84,8 +65,8 @@ def verify_product_automorphism(ctx, mode="exhaustive", samples=1000,
         if lhs != rhs:
             failures.append({"pair": [list(trim(ctx.basis[ra])),
                                       list(trim(ctx.basis[rb]))],
-                             "lhs": _terms_json(lhs),
-                             "rhs": _terms_json(rhs)})
+                             "lhs": terms_json(lhs),
+                             "rhs": terms_json(rhs)})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("product_automorphism", ctx.k, ctx.n,
                         len(pairs), failures)
@@ -134,6 +115,9 @@ def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
     The first identity runs over all ordered basis pairs; the second,
     <A,C,B> = <dual A, dual C, bar B>, over seeded basis triples.
     """
+    def dual(lam):
+        return poincare_dual(lam, ctx.k)
+
     failures = []
     checked = 0
     for ra in range(ctx.dim):
@@ -141,14 +125,14 @@ def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
         for rc in range(ctx.dim):
             c = basis_class(ctx, ctx.basis[rc])
             checked += 1
-            lhs = _dual_class(quantum_product(a, c, table=table))
-            rhs = quantum_product(_dual_class(a), bar(c), table=table)
+            lhs = relabel(quantum_product(a, c, table=table), dual)
+            rhs = quantum_product(relabel(a, dual), bar(c), table=table)
             if lhs != rhs:
                 failures.append({"identity": "dual_product",
                                  "a": list(trim(ctx.basis[ra])),
                                  "c": list(trim(ctx.basis[rc])),
-                                 "lhs": _terms_json(lhs),
-                                 "rhs": _terms_json(rhs)})
+                                 "lhs": terms_json(lhs),
+                                 "rhs": terms_json(rhs)})
     rng = random.Random(seed)
     for _ in range(samples):
         ra, rb, rc = (rng.randrange(ctx.dim) for _ in range(3))
@@ -157,7 +141,7 @@ def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
         c = basis_class(ctx, ctx.basis[rc])
         checked += 1
         lhs = gw_invariant(a, c, b, table=table)
-        rhs = gw_invariant(_dual_class(a), _dual_class(c), bar(b),
+        rhs = gw_invariant(relabel(a, dual), relabel(c, dual), bar(b),
                            table=table)
         if lhs != rhs:
             failures.append({"identity": "invariant_duality",

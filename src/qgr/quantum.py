@@ -21,20 +21,17 @@ the ring axioms rather than trusting it.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .classical import (CohomClass, _same_ctx, basis_class, classical_pieri,
-                        column_class, cup_product, pairing, unit_class)
-from .partitions import (GrassmannContext, c_shift, degree, nonzero_rows,
-                         poincare_dual, trim)
+                        column_class, cup_product, pairing, relabel,
+                        terms_json, unit_class)
+from .partitions import c_shift, degree, nonzero_rows, poincare_dual, trim
 from .reports import VerifyReport
 
 DEFAULT_SEED = 0xC0FFEE
-
-TABLE_FORMAT = 1
 
 # per-(k, n) memo of Pieri rows and basis products; pure data, so the
 # cache is observationally transparent
@@ -225,12 +222,7 @@ def c_apply(a, j):
     full-column class is a verified property of the ring, not an
     assumption of this function.
     """
-    ctx = a.ctx
-    out = {}
-    for rank, c in a.terms.items():
-        t = ctx.rank(c_shift(ctx.basis[rank], j, ctx.k, ctx.n))
-        out[t] = out.get(t, 0) + c
-    return CohomClass(ctx, out)
+    return relabel(a, lambda lam: c_shift(lam, j, a.ctx.k, a.ctx.n))
 
 
 class StructureTable:
@@ -246,9 +238,6 @@ class StructureTable:
 
     def product_ranks(self, ra, rb):
         return self.entries[(ra, rb) if ra <= rb else (rb, ra)]
-
-    def product(self, a, b):
-        return quantum_product(a, b, table=self)
 
     def __eq__(self, other):
         return (isinstance(other, StructureTable)
@@ -274,59 +263,6 @@ def build_table(ctx):
     return StructureTable(ctx, entries)
 
 
-def _table_payload(table):
-    ctx = table.ctx
-    entries = []
-    for (ra, rb) in sorted(table.entries):
-        entries.append({
-            "a": list(trim(ctx.basis[ra])),
-            "b": list(trim(ctx.basis[rb])),
-            "terms": [{"p": list(trim(ctx.basis[rank])), "c": c}
-                      for rank, c in table.entries[(ra, rb)]],
-        })
-    return {"k": ctx.k, "n": ctx.n, "format": TABLE_FORMAT,
-            "entries": entries}
-
-
-def table_to_json(table):
-    """Canonical single-line JSON; re-saving a loaded table is identical."""
-    return json.dumps(_table_payload(table), separators=(",", ":"))
-
-
-def save_table(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table_to_json(table))
-        fh.write("\n")
-
-
-def load_table(path, ctx=None):
-    """Load a table file, checking the (k, n, format) header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != TABLE_FORMAT:
-        raise ValueError(f"unsupported table format {data.get('format')!r}")
-    k, n = data.get("k"), data.get("n")
-    if ctx is None:
-        ctx = GrassmannContext(k, n)
-    elif (k, n) != (ctx.k, ctx.n):
-        raise ValueError(f"table file is for k={k}, n={n}, "
-                         f"expected k={ctx.k}, n={ctx.n}")
-    entries = {}
-    for entry in data["entries"]:
-        ra = ctx.rank(ctx.validate(entry["a"]))
-        rb = ctx.rank(ctx.validate(entry["b"]))
-        items = tuple((ctx.rank(ctx.validate(t["p"])), int(t["c"]))
-                      for t in entry["terms"])
-        entries[(ra, rb)] = items
-    if len(entries) != ctx.dim * (ctx.dim + 1) // 2:
-        raise ValueError("table file is missing basis pairs")
-    return StructureTable(ctx, entries)
-
-
-def _terms_json(ctx, items):
-    return [{"p": list(trim(ctx.basis[r])), "c": c} for r, c in items]
-
-
 def verify_commutativity(ctx):
     """Compute each basis product both ways and compare.
 
@@ -343,8 +279,8 @@ def verify_commutativity(ctx):
             if ab != ba:
                 failures.append({"pair": [list(trim(ctx.basis[ra])),
                                           list(trim(ctx.basis[rb]))],
-                                 "lhs": _terms_json(ctx, sorted(ab.items())),
-                                 "rhs": _terms_json(ctx, sorted(ba.items()))})
+                                 "lhs": terms_json(CohomClass(ctx, ab)),
+                                 "rhs": terms_json(CohomClass(ctx, ba))})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("commutativity", ctx.k, ctx.n, checked, failures)
 
@@ -366,8 +302,8 @@ def verify_associativity(ctx, samples=1000, seed=DEFAULT_SEED, table=None):
             failures.append({"triple": [list(trim(ctx.basis[ra])),
                                         list(trim(ctx.basis[rb])),
                                         list(trim(ctx.basis[rc]))],
-                             "lhs": _terms_json(ctx, lhs.sorted_terms()),
-                             "rhs": _terms_json(ctx, rhs.sorted_terms())})
+                             "lhs": terms_json(lhs),
+                             "rhs": terms_json(rhs)})
     failures.sort(key=lambda f: f["triple"])
     return VerifyReport("associativity", ctx.k, ctx.n, samples, failures)
 
@@ -398,9 +334,8 @@ def verify_grading(ctx, table=None):
                                           list(trim(ctx.basis[rb]))],
                                  "bad_degree": [list(trim(ctx.basis[r]))
                                                 for r in sorted(bad_degree)],
-                                 "top": _terms_json(ctx, top.sorted_terms()),
-                                 "cup": _terms_json(
-                                     ctx, classical.sorted_terms())})
+                                 "top": terms_json(top),
+                                 "cup": terms_json(classical)})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("grading", ctx.k, ctx.n, checked, failures)
 
@@ -418,10 +353,8 @@ def verify_pieri_consistency(ctx):
             strips = classical_pieri(lam, r, ctx)
             if top != strips:
                 failures.append({"lam": list(trim(lam)), "r": r,
-                                 "quantum_top": _terms_json(
-                                     ctx, top.sorted_terms()),
-                                 "strips": _terms_json(
-                                     ctx, strips.sorted_terms())})
+                                 "quantum_top": terms_json(top),
+                                 "strips": terms_json(strips)})
     failures.sort(key=lambda f: (f["lam"], f["r"]))
     return VerifyReport("pieri_consistency", ctx.k, ctx.n, checked, failures)
 
@@ -438,8 +371,7 @@ def verify_giambelli(ctx):
             acc = acc + coeff * cur
         if acc != basis_class(ctx, lam):
             failures.append({"lam": list(trim(lam)),
-                             "evaluated": _terms_json(
-                                 ctx, acc.sorted_terms())})
+                             "evaluated": terms_json(acc)})
     failures.sort(key=lambda f: f["lam"])
     return VerifyReport("giambelli", ctx.k, ctx.n, ctx.dim, failures)
 
@@ -456,10 +388,8 @@ def verify_cyclic(ctx, table=None):
         multiplied = quantum_product(col, a, table=table)
         if shifted != multiplied:
             failures.append({"lam": list(trim(lam)), "kind": "shift_vs_mult",
-                             "shift": _terms_json(
-                                 ctx, shifted.sorted_terms()),
-                             "product": _terms_json(
-                                 ctx, multiplied.sorted_terms())})
+                             "shift": terms_json(shifted),
+                             "product": terms_json(multiplied)})
         checked += 1
         if c_apply(a, ctx.n) != a:
             failures.append({"lam": list(trim(lam)), "kind": "period"})

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import CohomClass, basis_class
+from .classical import CohomClass, basis_class, terms_json
 from .involution import bar
 from .partitions import format_partition, trim
 from .quantum import DEFAULT_SEED, build_table, quantum_product
@@ -270,9 +270,7 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL,
     for i, c in enumerate(classes):
         issues = _positivity_issues(c, spectral, table, tol)
         if issues:
-            failures.append({"class_index": i,
-                             "terms": [{"p": list(trim(ctx.basis[r])),
-                                        "c": v} for r, v in c.sorted_terms()],
+            failures.append({"class_index": i, "terms": terms_json(c),
                              "issues": issues})
     return VerifyReport("positivity", ctx.k, ctx.n, len(classes), failures)
 

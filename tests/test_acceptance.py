@@ -224,7 +224,7 @@ def test_criterion_10_positivity_suite(ctx_of, table_of, spectral_of):
            f"equivalence on {checked} classes over n<=6 ({elapsed:.2f}s)")
 
 
-def test_criterion_11_cli_golden(capsys, tmp_path):
+def test_criterion_11_cli_golden(capsys):
     start = time.monotonic()
 
     def run(*args):
@@ -272,19 +272,7 @@ def test_criterion_11_cli_golden(capsys, tmp_path):
     _, out2 = run("spectrum", "--k", "1", "--n", "2")
     assert out1 == out2
 
-    cache_dir = tmp_path / "cache"
-    args = ("mul", "--k", "2", "--n", "4", "--a", "1", "--b", "1",
-            "--cache", "--cache-dir", str(cache_dir))
-    run(*args)
-    path = cache_dir / "table-k2-n4-v1.json"
-    first = path.read_bytes()
-    from qgr.quantum import load_table, save_table
-    resaved = tmp_path / "resaved.json"
-    save_table(load_table(path), resaved)
-    assert resaved.read_bytes() == first
-
     elapsed = time.monotonic() - start
     report(11, True,
-           f"documented command-line invocations, exit codes, spectrum "
-           f"determinism, and byte-identical cache round-trip "
-           f"({elapsed:.2f}s)")
+           f"documented command-line invocations, exit codes and spectrum "
+           f"determinism ({elapsed:.2f}s)")

@@ -5,8 +5,8 @@ import pytest
 
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            classical_pieri, column_class, cup_product,
-                           lr_coefficient, pairing, point_class, row_class,
-                           unit_class, zero_class)
+                           lr_coefficient, pairing, point_class, relabel,
+                           row_class, unit_class, zero_class)
 from qgr.partitions import GrassmannContext, degree, trim
 
 from conftest import all_contexts
@@ -110,6 +110,16 @@ class TestCohomClassArithmetic:
         assert repr(zero_class(ctx)) == "0"
         assert repr(unit_class(ctx)) == "1"
         assert repr(row_class(ctx, 1) + row_class(ctx, 2)) == "(1) + (2)"
+        assert repr(-row_class(ctx, 1)) == "-(1)"
+        assert repr(row_class(ctx, 1) - row_class(ctx, 2)) == "(1) - (2)"
+        assert repr(row_class(ctx, 1) - 3 * row_class(ctx, 2)) == \
+            "(1) - 3*(2)"
+
+    def test_relabel_sums_terms_that_land_together(self):
+        ctx = GrassmannContext(2, 4)
+        a = class_from_parts(ctx, [((1, 0), 2), ((2, 1), -5), ((2, 2), 1)])
+        assert relabel(a, lambda lam: lam) == a
+        assert relabel(a, lambda lam: (0, 0)) == -2 * unit_class(ctx)
 
 
 class TestLittlewoodRichardson:

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
-                           point_class, row_class, unit_class)
+                           point_class, relabel, row_class, unit_class)
 from qgr.involution import (bar, verify_dual_product_identity,
                             verify_duality_identities,
                             verify_involution_factorization,
                             verify_product_automorphism)
 from qgr.partitions import GrassmannContext, degree, poincare_dual
-from qgr.quantum import quantum_product
+from qgr.quantum import c_apply, quantum_product
 
 from conftest import all_contexts
 
@@ -31,6 +31,29 @@ class TestBar:
             a = CohomClass(ctx, {r: rng.randint(-4, 4)
                                  for r in range(ctx.dim)})
             assert bar(bar(a)) == a
+
+    def test_relabel_identities_on_dense_classes(self, ctx_of, table_of):
+        rng = random.Random(7)
+        for k, n in all_contexts(6):
+            ctx, table = ctx_of(k, n), table_of(k, n)
+
+            def dual(x):
+                return relabel(x, lambda lam: poincare_dual(lam, k))
+
+            def dense():
+                return CohomClass(ctx, {r: rng.randint(-4, 4)
+                                        for r in range(ctx.dim)})
+
+            for _ in range(3):
+                a, c = dense(), dense()
+                ac = quantum_product(a, c, table=table)
+                assert bar(ac) == quantum_product(bar(a), bar(c),
+                                                  table=table), (k, n)
+                assert dual(ac) == quantum_product(dual(a), bar(c),
+                                                   table=table), (k, n)
+                assert bar(a) == dual(c_apply(a, k)), (k, n)
+                j = rng.randrange(n + 1)
+                assert c_apply(c_apply(a, j), n - j) == a, (k, n, j)
 
     def test_linear(self):
         ctx = GrassmannContext(3, 6)

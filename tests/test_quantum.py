@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -9,9 +8,8 @@ from qgr.classical import (basis_class, class_from_parts, classical_pieri,
                            zero_class)
 from qgr.partitions import GrassmannContext, degree
 from qgr.quantum import (GWRecord, build_table, c_apply, giambelli_expand,
-                         gw_invariant, gw_record, load_table,
-                         quantum_pieri_invariant, quantum_pieri_product,
-                         quantum_product, save_table, table_to_json,
+                         gw_invariant, gw_record, quantum_pieri_invariant,
+                         quantum_pieri_product, quantum_product,
                          verify_associativity, verify_commutativity,
                          verify_cyclic, verify_giambelli, verify_grading,
                          verify_pieri_consistency)
@@ -227,46 +225,3 @@ class TestStructureTable:
     def test_build_is_deterministic(self):
         ctx = GrassmannContext(2, 5)
         assert build_table(ctx) == build_table(ctx)
-
-    def test_save_load_round_trip(self, table_of, tmp_path):
-        table = table_of(2, 4)
-        path = tmp_path / "table.json"
-        save_table(table, path)
-        loaded = load_table(path)
-        assert loaded == table
-        path2 = tmp_path / "resaved.json"
-        save_table(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_load_rejects_context_mismatch(self, table_of, tmp_path):
-        path = tmp_path / "table.json"
-        save_table(table_of(2, 4), path)
-        with pytest.raises(ValueError, match="k=2, n=4"):
-            load_table(path, GrassmannContext(2, 5))
-
-    def test_load_rejects_bad_format(self, table_of, tmp_path):
-        doc = json.loads(table_to_json(table_of(2, 4)))
-        doc["format"] = 99
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="format"):
-            load_table(path)
-
-    def test_load_rejects_missing_pairs(self, table_of, tmp_path):
-        doc = json.loads(table_to_json(table_of(2, 4)))
-        doc["entries"] = doc["entries"][:-1]
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="missing"):
-            load_table(path)
-
-    def test_entries_sorted_and_trimmed(self, table_of):
-        doc = json.loads(table_to_json(table_of(2, 4)))
-        assert doc["k"] == 2 and doc["n"] == 4 and doc["format"] == 1
-        ctx = GrassmannContext(2, 4)
-        keys = [(ctx.rank(ctx.validate(e["a"])),
-                 ctx.rank(ctx.validate(e["b"]))) for e in doc["entries"]]
-        assert keys == sorted(keys)
-        for e in doc["entries"]:
-            for t in e["terms"]:
-                assert not t["p"] or t["p"][-1] != 0
