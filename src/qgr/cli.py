@@ -103,7 +103,7 @@ def _run_suites(ctx, which, tol, seed):
     reports = []
     table = quantum.build_table(ctx)
     if which in ("ring", "all"):
-        reports.append(quantum.verify_commutativity(ctx))
+        reports.append(quantum.verify_commutativity(ctx, table=table))
         reports.append(quantum.verify_associativity(ctx, seed=seed,
                                                     table=table))
         reports.append(quantum.verify_grading(ctx, table=table))

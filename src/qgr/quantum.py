@@ -13,10 +13,17 @@ indices running over 1..l, and 0 otherwise.  Since the grading only
 survives mod n at q = 1, the curve degree d of any invariant is
 recovered from deg A + deg B + deg C = kl + d*n.
 
-General products expand one factor by the Giambelli determinant in
-single-row classes (valid verbatim in the quantum ring) and apply the
-row rule repeatedly; the test suite validates the expansion against
-the ring axioms rather than trusting it.
+The structure table of all basis products is built by Pieri
+inversion (build_table): the matrix of multiplication by a diagram is
+its first row's Pieri matrix applied to the matrix of the rest of the
+diagram, minus matrices of diagrams met earlier in the basis order.
+The table is stored as integer arrays.
+
+A single product (mul, gw) expands one factor by the Giambelli
+determinant in single-row classes (valid verbatim in the quantum ring)
+and applies the row rule repeatedly.  This per-pair path is also the
+independent oracle the table is checked against, and the test suite
+validates it against the ring axioms rather than trusting it.
 """
 
 from __future__ import annotations
@@ -225,62 +232,203 @@ def c_apply(a, j):
     return relabel(a, lambda lam: c_shift(lam, j, a.ctx.k, a.ctx.n))
 
 
-class StructureTable:
-    """All pairwise basis products of one context.
+def _flat_ranges(starts, widths):
+    """Concatenated index ranges [s, s + w) for paired starts and widths."""
+    import numpy as np
+    return np.repeat(starts - np.cumsum(widths) + widths, widths) \
+        + np.arange(widths.sum())
 
-    entries maps an unordered rank pair (ra <= rb) to a tuple of
-    (rank, coefficient) pairs sorted by rank.
+
+def _pair_index(dim, ra, rb):
+    """Position of the unordered pair ra <= rb in triu_indices(dim) order.
+
+    Works elementwise on integer arrays as well as on ints.
+    """
+    return ra * dim - ra * (ra - 1) // 2 + rb - ra
+
+
+class StructureTable:
+    """All pairwise basis products of one context, as integer arrays.
+
+    Unordered rank pairs ra <= rb are numbered row by row, in the order
+    of numpy.triu_indices(dim).  The product of pair p has the terms
+    targets[indptr[p]:indptr[p + 1]] (ranks, increasing) with the
+    coefficients at the same positions of coeffs.
     """
 
-    def __init__(self, ctx, entries):
+    __slots__ = ("ctx", "indptr", "targets", "coeffs")
+
+    def __init__(self, ctx, indptr, targets, coeffs):
         self.ctx = ctx
-        self.entries = entries
+        self.indptr = indptr
+        self.targets = targets
+        self.coeffs = coeffs
 
     def product_ranks(self, ra, rb):
-        return self.entries[(ra, rb) if ra <= rb else (rb, ra)]
+        """(rank, coefficient) pairs of basis[ra] * basis[rb], by rank."""
+        if ra > rb:
+            ra, rb = rb, ra
+        if ra < 0 or rb >= self.ctx.dim:
+            raise IndexError(f"rank pair ({ra}, {rb}) outside the basis "
+                             f"of {self.ctx}")
+        p = _pair_index(self.ctx.dim, ra, rb)
+        lo, hi = self.indptr[p:p + 2].tolist()
+        return tuple(zip(self.targets[lo:hi].tolist(),
+                         self.coeffs[lo:hi].tolist()))
+
+    def pair_terms(self, ranks):
+        """Every term of basis[r] * basis[j], r in ranks and j any rank.
+
+        ranks is an integer array of ranks.  Returns flat arrays
+        (which, col, target, coeff): entry i is the term
+        coeff[i] * basis[target[i]] of basis[ranks[which[i]]] *
+        basis[col[i]].
+        """
+        import numpy as np
+        dim = self.ctx.dim
+        r = np.repeat(ranks, dim)
+        j = np.tile(np.arange(dim), len(ranks))
+        p = _pair_index(dim, np.minimum(r, j), np.maximum(r, j))
+        lo = self.indptr[p]
+        width = self.indptr[p + 1] - lo
+        pos = _flat_ranges(lo, width)
+        which = np.repeat(np.arange(len(ranks)), dim)
+        return (np.repeat(which, width), np.repeat(j, width),
+                self.targets[pos], self.coeffs[pos])
 
     def __eq__(self, other):
-        return (isinstance(other, StructureTable)
-                and self.ctx == other.ctx and self.entries == other.entries)
+        import numpy as np
+        return (isinstance(other, StructureTable) and self.ctx == other.ctx
+                and all(np.array_equal(getattr(self, f), getattr(other, f))
+                        for f in ("indptr", "targets", "coeffs")))
+
+
+# largest magnitude a stored structure constant may reach
+_COEFF_BOUND = 2 ** 31
 
 
 def build_table(ctx):
-    """Compute every pairwise basis product; deterministic content."""
-    entries = {}
-    n = ctx.n
-    for ra in range(ctx.dim):
-        da = degree(ctx.basis[ra])
-        for rb in range(ra, ctx.dim):
-            items = _basis_product(ctx, ra, rb)
-            total = da + degree(ctx.basis[rb])
-            for rank, c in items:
-                d = degree(ctx.basis[rank])
-                if c <= 0 or d > total or (total - d) % n:
-                    raise ArithmeticError(
-                        f"invalid structure constant {c} at {ctx.basis[rank]}"
-                        f" in product {ctx.basis[ra]} * {ctx.basis[rb]}")
-            entries[(ra, rb)] = items
-    return StructureTable(ctx, entries)
+    """Compute every pairwise basis product by Pieri inversion.
+
+    Walks the basis in its graded order and writes M_lam for the matrix
+    of multiplication by lam.  With lam' = lam without its first row,
+
+        M_lam = P_{lam_1} M_lam' - sum of M_nu,
+
+    nu running over the diagrams other than lam obtained from lam' by a
+    horizontal lam_1-strip (classical_pieri), and P_r the quantum Pieri
+    matrix of the row class (r).  This is the Pieri rule
+    h_r s_lam' = sum of s_nu over all such strips, pushed through the
+    Giambelli homomorphism.  Every term on the right is known when lam
+    is reached:
+      - lam' has lower degree, so it comes earlier;
+      - a strip adds at most one row to lam' (at most l - 1 rows), so
+        every nu fits in l rows;
+      - a nu with nu_1 > k maps to zero, because the first row of its
+        determinant holds only rows longer than k; classical_pieri
+        stays in the box and leaves these out;
+      - every other nu has the degree of lam and nu_i <= lam_i for
+        i >= 2 (interlacing), so nu_1 > lam_1: lex-larger, hence
+        earlier in the order.
+    The unit's matrix is the identity.  Each M_lam is kept sparse, as
+    flat indices j * dim + t (column j, target t) with their values.
+
+    Every stored constant is checked: positive, of degree at most the
+    pair's total and congruent to it mod n; anything else raises
+    ArithmeticError.
+    """
+    import numpy as np
+
+    dim, n = ctx.dim, ctx.n
+    deg = np.array([degree(lam) for lam in ctx.basis])
+    pieri = {}
+    for r in range(1, ctx.k + 1):
+        rows = [_pieri_row(ctx, r, j) for j in range(dim)]
+        ptr = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=ptr[1:])
+        pieri[r] = (ptr, np.array([t for row in rows for t in row],
+                                  dtype=np.int32))
+
+    # stored magnitudes stay below _COEFF_BOUND, so int32 holds them and
+    # each step's sums, at most 2 * dim of them, stay exact in int64
+    mats = [None] * dim
+    mats[0] = (np.arange(dim, dtype=np.int64) * (dim + 1),
+               np.ones(dim, dtype=np.int32))
+    counts, targets, coeffs = [], [], []
+    for ra in range(dim):
+        lam = ctx.basis[ra]
+        if ra:
+            key, val = mats[ctx.rank(lam[1:] + (0,))]
+            col, t = np.divmod(key, dim)
+            ptr, tgt = pieri[lam[0]]
+            width = ptr[t + 1] - ptr[t]
+            image = tgt[_flat_ranges(ptr[t], width)]
+            keys = [np.repeat(col, width) * dim + image]
+            vals = [np.repeat(val, width)]
+            for nu in classical_pieri(lam[1:] + (0,), lam[0], ctx).terms:
+                if nu != ra:
+                    keys.append(mats[nu][0])
+                    vals.append(-mats[nu][1])
+            key = np.concatenate(keys)
+            val = np.concatenate(vals, dtype=np.int64)
+            order = np.argsort(key)
+            key, val = key[order], val[order]
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, val = key[starts], np.add.reduceat(val, starts)
+            keep = val != 0
+            key, val = key[keep], val[keep]
+            if np.abs(val).max(initial=0) >= _COEFF_BOUND:
+                raise OverflowError(f"structure constant of {lam} exceeds "
+                                    "the safe integer bound")
+            mats[ra] = (key, val.astype(np.int32))
+        # the columns j >= ra are the unordered pairs (ra, j), in order
+        key, val = mats[ra]
+        lo = np.searchsorted(key, ra * dim)
+        col, t = np.divmod(key[lo:], dim)
+        c = val[lo:]
+        total = deg[ra] + deg[col]
+        bad = np.flatnonzero((c <= 0) | (deg[t] > total)
+                             | ((total - deg[t]) % n != 0))
+        if bad.size:
+            i = bad[0]
+            raise ArithmeticError(
+                f"invalid structure constant {c[i]} at {ctx.basis[t[i]]}"
+                f" in product {lam} * {ctx.basis[col[i]]}")
+        counts.append(np.bincount(col - ra, minlength=dim - ra))
+        targets.append(t)
+        coeffs.append(c)
+
+    indptr = np.zeros(dim * (dim + 1) // 2 + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return StructureTable(ctx, indptr, np.concatenate(targets),
+                          np.concatenate(coeffs))
 
 
-def verify_commutativity(ctx):
+def verify_commutativity(ctx, table=None):
     """Compute each basis product both ways and compare.
 
     The two orientations expand different factors through the
-    determinant, so they exercise genuinely different code paths.
+    determinant, so they exercise genuinely different code paths.  With
+    a table, its product of each pair must also equal the expansion;
+    a mismatch is a failure carrying the table's terms.
     """
     failures = []
     checked = 0
     for ra in range(ctx.dim):
         for rb in range(ra, ctx.dim):
             checked += 1
+            pair = [list(trim(ctx.basis[ra])), list(trim(ctx.basis[rb]))]
             ab = _product_via_giambelli(ctx, ra, rb)
             ba = _product_via_giambelli(ctx, rb, ra)
             if ab != ba:
-                failures.append({"pair": [list(trim(ctx.basis[ra])),
-                                          list(trim(ctx.basis[rb]))],
+                failures.append({"pair": pair,
                                  "lhs": terms_json(CohomClass(ctx, ab)),
                                  "rhs": terms_json(CohomClass(ctx, ba))})
+            if table is not None and dict(table.product_ranks(ra, rb)) != ab:
+                failures.append({"pair": pair,
+                                 "table": terms_json(CohomClass(
+                                     ctx, dict(table.product_ranks(ra, rb)))),
+                                 "giambelli": terms_json(CohomClass(ctx, ab))})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("commutativity", ctx.k, ctx.n, checked, failures)
 

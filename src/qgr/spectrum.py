@@ -24,7 +24,7 @@ import numpy as np
 from .classical import CohomClass, basis_class, terms_json
 from .involution import bar
 from .partitions import format_partition, trim
-from .quantum import DEFAULT_SEED, build_table, quantum_product
+from .quantum import DEFAULT_SEED, build_table
 from .reports import VerifyReport
 
 GAP_TOL = 1e-9
@@ -41,6 +41,14 @@ class DegenerateSpectrum(RuntimeError):
     """No generator combination produced a certified simple spectrum."""
 
 
+def _coeff_vector(c, dtype=np.int64):
+    """Coefficients of a class as a dense vector indexed by rank."""
+    vec = np.zeros(c.ctx.dim, dtype=dtype)
+    if c.terms:
+        vec[list(c.terms)] = list(c.terms.values())
+    return vec
+
+
 def mult_matrix(c, table=None):
     """Integer matrix of quantum multiplication by a class.
 
@@ -50,16 +58,17 @@ def mult_matrix(c, table=None):
     ctx = c.ctx
     if table is None:
         table = build_table(ctx)
-    mat = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
-    for rank, coeff in c.terms.items():
+    for coeff in c.terms.values():
         if abs(coeff) >= _ENTRY_BOUND:
             raise OverflowError(f"coefficient {coeff} too large")
-        for j in range(ctx.dim):
-            for t, sc in table.product_ranks(rank, j):
-                mat[t, j] += coeff * sc
+    vec = _coeff_vector(c)
+    ranks = np.flatnonzero(vec)
+    which, col, target, coeff = table.pair_terms(ranks)
+    mat = np.zeros(ctx.dim * ctx.dim, dtype=np.int64)
+    np.add.at(mat, target * ctx.dim + col, vec[ranks][which] * coeff)
     if np.abs(mat).max(initial=0) >= _ENTRY_BOUND:
         raise OverflowError("matrix entries exceed the safe integer bound")
-    return mat
+    return mat.reshape(ctx.dim, ctx.dim)
 
 
 def basis_matrices(ctx, table=None):
@@ -165,11 +174,7 @@ def evaluate(a, spectral):
     """Values of a class at every point, as a complex vector."""
     if a.ctx != spectral.ctx:
         raise ValueError(f"context mismatch: {a.ctx} vs {spectral.ctx}")
-    values = np.zeros(len(spectral.points), dtype=np.complex128)
-    for rank, coeff in a.terms.items():
-        for i, p in enumerate(spectral.points):
-            values[i] += coeff * p.characters[rank]
-    return values
+    return spectral.character_matrix() @ _coeff_vector(a, np.float64)
 
 
 def conjugation_point_permutation(spectral, tol=CONJUGATION_TOL):
@@ -202,8 +207,7 @@ def verify_conjugation(ctx, seed=DEFAULT_SEED, tol=CONJUGATION_TOL,
     """Character of bar(S) vs conjugated character of S, every point."""
     if spectral is None:
         spectral = joint_eigenbasis(ctx, seed=seed, table=table)
-    bar_rank = [bar(basis_class(ctx, lam)).sorted_terms()[0][0]
-                for lam in ctx.basis]
+    bar_rank = _bar_ranks(ctx)
     failures = []
     worst = 0.0
     checked = 0
@@ -234,8 +238,27 @@ def verify_point_conjugation(ctx, seed=DEFAULT_SEED, tol=CONJUGATION_TOL,
                         len(spectral.points), failures)
 
 
-def _positivity_issues(c, spectral, table, tol):
-    prod = quantum_product(c, bar(c), table=table)
+def _bar_ranks(ctx):
+    """bar as a rank map: basis[r] goes to basis[bar_rank[r]]."""
+    return [bar(basis_class(ctx, lam)).sorted_terms()[0][0]
+            for lam in ctx.basis]
+
+
+def _bar_vector(c, bar_rank, dtype=np.int64):
+    """Coefficient vector of bar(c), given the rank map of bar."""
+    vec = np.zeros(c.ctx.dim, dtype=dtype)
+    for rank, coeff in c.terms.items():
+        vec[bar_rank[rank]] += coeff
+    return vec
+
+
+def _positivity_issues(c, bar_rank, spectral, table, tol):
+    m_c = mult_matrix(c, table=table)
+    v = _bar_vector(c, bar_rank)
+    # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
+    if int(np.abs(m_c).max(initial=0)) * int(np.abs(v).sum()) >= 2 ** 63:
+        raise OverflowError("C * bar(C) exceeds the safe integer bound")
+    prod = CohomClass(c.ctx, dict(enumerate((m_c @ v).tolist())))
     mat = mult_matrix(prod, table=table)
     issues = []
     if not np.array_equal(mat, mat.T):
@@ -258,7 +281,9 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL,
 
     Checks, for each class C: exact integer symmetry of the matrix,
     eigenvalues bounded below by -tol, and point values real within
-    tol and at least -tol.
+    tol and at least -tol.  The product's coordinates are M_C applied
+    to the coordinates of bar(C), and its matrix is built from them,
+    so no step assumes associativity.
     """
     if table is None:
         table = build_table(ctx)
@@ -266,9 +291,10 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL,
         spectral = joint_eigenbasis(ctx, seed=seed, table=table)
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
+    bar_rank = _bar_ranks(ctx)
     failures = []
     for i, c in enumerate(classes):
-        issues = _positivity_issues(c, spectral, table, tol)
+        issues = _positivity_issues(c, bar_rank, spectral, table, tol)
         if issues:
             failures.append({"class_index": i, "terms": terms_json(c),
                              "issues": issues})
@@ -284,11 +310,13 @@ def verify_vanishing(ctx, classes=None, tol=1e-7, seed=DEFAULT_SEED,
         spectral = joint_eigenbasis(ctx, seed=seed, table=table)
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
+    chars = spectral.character_matrix()
+    bar_rank = _bar_ranks(ctx)
     failures = []
     checked = 0
     for i, c in enumerate(classes):
-        values = evaluate(c, spectral)
-        bar_values = evaluate(bar(c), spectral)
+        values = chars @ _coeff_vector(c, np.float64)
+        bar_values = chars @ _bar_vector(c, bar_rank, np.float64)
         for p in range(len(spectral.points)):
             checked += 1
             if (abs(values[p]) < tol) != (abs(bar_values[p]) < tol):

@@ -11,7 +11,7 @@ import time
 
 from qgr import cli
 from qgr.classical import basis_class
-from qgr.involution import (bar, verify_dual_product_identity,
+from qgr.involution import (verify_dual_product_identity,
                             verify_duality_identities,
                             verify_involution_factorization,
                             verify_product_automorphism)

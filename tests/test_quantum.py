@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from qgr import quantum
 from qgr.classical import (basis_class, class_from_parts, classical_pieri,
                            column_class, point_class, row_class, unit_class,
                            zero_class)
 from qgr.partitions import GrassmannContext, degree
-from qgr.quantum import (GWRecord, build_table, c_apply, giambelli_expand,
+from qgr.quantum import (GWRecord, StructureTable, _basis_product,
+                         build_table, c_apply, giambelli_expand,
                          gw_invariant, gw_record, quantum_pieri_invariant,
                          quantum_pieri_product, quantum_product,
                          verify_associativity, verify_commutativity,
@@ -153,6 +155,19 @@ class TestRingSuites:
         for k, n in all_contexts(6):
             assert verify_pieri_consistency(ctx_of(k, n)).ok
 
+    def test_commutativity_checks_the_table(self, ctx_of, table_of):
+        ctx, table = ctx_of(2, 4), table_of(2, 4)
+        plain = verify_commutativity(ctx)
+        assert verify_commutativity(ctx, table=table) == plain
+        coeffs = table.coeffs.copy()
+        coeffs[-1] += 1
+        bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+        report = verify_commutativity(ctx, table=bad)
+        assert report.checked == plain.checked
+        assert [f["pair"] for f in report.failures] == [[[2, 2], [2, 2]]]
+        assert report.failures[0]["table"] == [{"p": [], "c": 2}]
+        assert report.failures[0]["giambelli"] == [{"p": [], "c": 1}]
+
 
 class TestGWInvariant:
     def test_unit_unit_point(self):
@@ -215,7 +230,45 @@ class TestCyclicOperator:
 
 class TestStructureTable:
     def test_g24_pair_count(self, table_of):
-        assert len(table_of(2, 4).entries) == 21
+        assert len(table_of(2, 4).indptr) - 1 == 21
+
+    def test_matches_giambelli_on_every_pair(self, ctx_of, table_of):
+        for k, n in all_contexts(7) + [(4, 8)]:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            for ra in range(ctx.dim):
+                for rb in range(ctx.dim):
+                    assert table.product_ranks(ra, rb) == \
+                        _basis_product(ctx, ra, rb)
+
+    def test_product_ranks_yields_python_ints(self, ctx_of, table_of):
+        ctx, table = ctx_of(3, 6), table_of(3, 6)
+        for ra in range(ctx.dim):
+            for rb in range(ra, ctx.dim):
+                for rank, c in table.product_ranks(ra, rb):
+                    assert type(rank) is int and type(c) is int
+
+    def test_rank_outside_basis(self, table_of):
+        with pytest.raises(IndexError):
+            table_of(2, 4).product_ranks(0, 6)
+
+    def test_corrupted_pieri_row_raises(self, monkeypatch):
+        pieri_row = quantum._pieri_row
+
+        def corrupted(ctx, r, rank):
+            # (1) times any diagram gains the diagram itself: wrong degree
+            row = pieri_row(ctx, r, rank)
+            return row + (rank,) if r == 1 else row
+
+        monkeypatch.setattr(quantum, "_pieri_row", corrupted)
+        with pytest.raises(ArithmeticError,
+                           match=r"invalid structure constant 1 at \(1, 0\)"
+                                 r" in product \(1, 0\) \* \(1, 0\)"):
+            build_table(GrassmannContext(2, 4))
+
+    def test_coefficient_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(quantum, "_COEFF_BOUND", 1)
+        with pytest.raises(OverflowError):
+            build_table(GrassmannContext(2, 4))
 
     def test_column_times_row_is_unit(self, ctx_of, table_of):
         ctx, table = ctx_of(2, 4), table_of(2, 4)

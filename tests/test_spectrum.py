@@ -1,10 +1,12 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qgr.classical import (basis_class, class_from_parts, row_class,
-                           unit_class, zero_class)
+from qgr.classical import (CohomClass, basis_class, class_from_parts,
+                           row_class, unit_class, zero_class)
 from qgr.involution import bar
 from qgr.partitions import GrassmannContext
 from qgr.quantum import quantum_product
@@ -58,6 +60,66 @@ class TestMultMatrix:
             mats = basis_matrices(ctx_of(k, n), table=table_of(k, n))
             for ma, mb in itertools.combinations(mats, 2):
                 assert np.array_equal(ma @ mb, mb @ ma)
+
+
+def _mult_matrix_loop(c, table):
+    """Reference: mult_matrix as a loop over the table's basis pairs."""
+    dim = c.ctx.dim
+    mat = np.zeros((dim, dim), dtype=np.int64)
+    for rank, coeff in c.terms.items():
+        for j in range(dim):
+            for t, sc in table.product_ranks(rank, j):
+                mat[t, j] += coeff * sc
+    return mat
+
+
+class TestMultMatrixContraction:
+    def test_basis_classes_match_loop(self, ctx_of, table_of):
+        for k, n in all_contexts(7):
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            for lam in ctx.basis:
+                c = basis_class(ctx, lam)
+                assert np.array_equal(mult_matrix(c, table=table),
+                                      _mult_matrix_loop(c, table))
+
+    def test_dense_classes_match_loop(self, ctx_of, table_of):
+        for k, n in all_contexts(6):
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            for c in random_integer_classes(ctx, 3, seed=k * 100 + n):
+                m = mult_matrix(c, table=table)
+                assert m.dtype == np.int64
+                assert np.array_equal(m, _mult_matrix_loop(c, table))
+
+    def test_coefficient_bound(self, ctx_of, table_of):
+        c = 2 ** 31 * unit_class(ctx_of(2, 4))
+        with pytest.raises(OverflowError):
+            mult_matrix(c, table=table_of(2, 4))
+
+
+@st.composite
+def _class_pairs(draw):
+    k, n = draw(st.sampled_from(all_contexts(7)))
+    coeffs = st.lists(st.integers(-5, 5), min_size=comb(n, k),
+                      max_size=comb(n, k))
+    return k, n, draw(coeffs), draw(coeffs)
+
+
+class TestProductProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_class_pairs())
+    def test_products_become_matrix_and_pointwise_products(
+            self, ctx_of, table_of, spectral_of, case):
+        k, n, ca, cb = case
+        ctx, table, sd = ctx_of(k, n), table_of(k, n), spectral_of(k, n)
+        a = CohomClass(ctx, dict(enumerate(ca)))
+        b = CohomClass(ctx, dict(enumerate(cb)))
+        ab = quantum_product(a, b, table=table)
+        assert np.array_equal(mult_matrix(ab, table=table),
+                              mult_matrix(a, table=table)
+                              @ mult_matrix(b, table=table))
+        va, vb = evaluate(a, sd), evaluate(b, sd)
+        scale = 1.0 + np.abs(va).max() * np.abs(vb).max()
+        assert np.abs(evaluate(ab, sd) - va * vb).max() <= 1e-9 * scale
 
 
 class TestJointEigenbasis:
