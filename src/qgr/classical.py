@@ -118,6 +118,18 @@ def relabel(a, image):
     return CohomClass(ctx, out)
 
 
+def rank_map(ctx, image):
+    """A diagram map as a rank array: basis[r] goes to basis[out[r]].
+
+    image maps a fixed-length diagram of ctx to another one, as for
+    relabel.  The result is a numpy integer array, for moving the rows
+    and columns of vectors and matrices indexed by rank.
+    """
+    import numpy as np
+    return np.array([ctx.rank(image(lam)) for lam in ctx.basis],
+                    dtype=np.intp)
+
+
 def terms_json(a):
     """The JSON term list of a class: [{"p": parts, "c": coefficient}].
 

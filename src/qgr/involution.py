@@ -12,11 +12,15 @@ product rule for duals.
 from __future__ import annotations
 
 import random
+from functools import partial
 
-from .classical import basis_class, pairing, relabel, row_class, terms_json
+import numpy as np
+
+from .classical import (basis_class, pairing, rank_map, relabel, row_class,
+                        terms_json)
 from .partitions import bar_involution, c_shift, poincare_dual, trim
-from .quantum import (DEFAULT_SEED, gw_invariant, quantum_pieri_invariant,
-                      quantum_product)
+from .quantum import (DEFAULT_SEED, build_table, gw_invariant,
+                      quantum_pieri_invariant, quantum_product)
 from .reports import VerifyReport
 
 
@@ -40,36 +44,36 @@ def verify_involution_factorization(ctx):
                         ctx.dim, failures)
 
 
-def verify_product_automorphism(ctx, mode="exhaustive", samples=1000,
-                                seed=DEFAULT_SEED, table=None):
+def verify_product_automorphism(ctx, table=None):
     """Check bar(S_lam * S_mu) = bar(S_lam) * bar(S_mu) over basis pairs.
 
-    Exhaustive mode runs every unordered pair (diagonal included);
-    sampled mode draws seeded pairs.
+    Runs every unordered pair (diagonal included), one diagram at a
+    time, as the matrix identity M_lam = M_{bar lam}[bar, bar] on the
+    columns mu >= lam, with M the table's multiplication matrices and
+    bar the rank permutation.  Pairs whose columns differ are
+    recomputed as classes, to write their failure records.  Without a
+    table, one is built.
     """
-    if mode == "exhaustive":
-        pairs = [(ra, rb) for ra in range(ctx.dim)
-                 for rb in range(ra, ctx.dim)]
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(ctx.dim), rng.randrange(ctx.dim))
-                 for _ in range(samples)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if table is None:
+        table = build_table(ctx)
+    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
-    for ra, rb in pairs:
-        a = basis_class(ctx, ctx.basis[ra])
-        b = basis_class(ctx, ctx.basis[rb])
-        lhs = bar(quantum_product(a, b, table=table))
-        rhs = quantum_product(bar(a), bar(b), table=table)
-        if lhs != rhs:
+    for ra in range(ctx.dim):
+        lhs = table.basis_matrix(ra)[:, ra:]
+        rhs = table.basis_matrix(bar_rank[ra])[np.ix_(bar_rank,
+                                                      bar_rank[ra:])]
+        for rb in (ra + np.flatnonzero((lhs != rhs).any(axis=0))).tolist():
+            a = basis_class(ctx, ctx.basis[ra])
+            c = basis_class(ctx, ctx.basis[rb])
             failures.append({"pair": [list(trim(ctx.basis[ra])),
                                       list(trim(ctx.basis[rb]))],
-                             "lhs": terms_json(lhs),
-                             "rhs": terms_json(rhs)})
+                             "lhs": terms_json(bar(quantum_product(
+                                 a, c, table=table))),
+                             "rhs": terms_json(quantum_product(
+                                 bar(a), bar(c), table=table))})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("product_automorphism", ctx.k, ctx.n,
-                        len(pairs), failures)
+                        ctx.dim * (ctx.dim + 1) // 2, failures)
 
 
 def verify_duality_identities(ctx, table=None):
@@ -78,8 +82,13 @@ def verify_duality_identities(ctx, table=None):
     First, dual(shift^k A) = shift^(n-k)(dual A) on every basis
     diagram.  Second, for all basis pairs (A, S) and rows 1 <= r <= k,
     the row-rule invariant <A, S, (r)> equals the product-computed
-    invariant <dual A, dual S, bar (r)>.
+    invariant <dual A, dual S, bar (r)>.  The latter is the entry
+    M_{dual A}[dual bar (r), dual S] of the table's multiplication
+    matrix, read for all S and r at once per diagram A; the row rule
+    is still evaluated on every triple.  Without a table, one is built.
     """
+    if table is None:
+        table = build_table(ctx)
     failures = []
     checked = 0
     for lam in ctx.basis:
@@ -90,20 +99,26 @@ def verify_duality_identities(ctx, table=None):
             failures.append({"identity": "dual_shift_commutation",
                              "lam": list(trim(lam)),
                              "lhs": list(trim(lhs)), "rhs": list(trim(rhs))})
-    bar_rows = {r: bar(row_class(ctx, r)) for r in range(1, ctx.k + 1)}
-    for a in ctx.basis:
-        a_dual = basis_class(ctx, poincare_dual(a, ctx.k))
-        for s in ctx.basis:
-            s_dual = basis_class(ctx, poincare_dual(s, ctx.k))
-            prod = quantum_product(a_dual, s_dual, table=table)
-            for r in range(1, ctx.k + 1):
-                checked += 1
-                lhs = quantum_pieri_invariant(a, s, r, ctx)
-                rhs = pairing(prod, bar_rows[r])
-                if lhs != rhs:
-                    failures.append({"identity": "row_invariant_duality",
-                                     "a": list(trim(a)), "s": list(trim(s)),
-                                     "r": r, "lhs": lhs, "rhs": rhs})
+    dual_rank = rank_map(ctx, partial(poincare_dual, k=ctx.k))
+    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
+    rows = range(1, ctx.k + 1)
+    # pairing with bar (r) reads the coefficient of dual(bar (r))
+    targets = dual_rank[bar_rank[[ctx.rank((r,) + (0,) * (ctx.l - 1))
+                                  for r in rows]]]
+    for ra, a in enumerate(ctx.basis):
+        lhs = np.array([[quantum_pieri_invariant(a, s, r, ctx)
+                         for s in ctx.basis] for r in rows])
+        rhs = table.basis_matrix(dual_rank[ra])[np.ix_(targets, dual_rank)]
+        checked += lhs.size
+        for i, rs in zip(*np.nonzero(lhs != rhs)):
+            r, s = rows[i], ctx.basis[rs]
+            prod = quantum_product(basis_class(ctx, poincare_dual(a, ctx.k)),
+                                   basis_class(ctx, poincare_dual(s, ctx.k)),
+                                   table=table)
+            failures.append({"identity": "row_invariant_duality",
+                             "a": list(trim(a)), "s": list(trim(s)),
+                             "r": r, "lhs": int(lhs[i, rs]),
+                             "rhs": pairing(prod, bar(row_class(ctx, r)))})
     failures.sort(key=lambda f: (f["identity"], str(f)))
     return VerifyReport("duality_identities", ctx.k, ctx.n, checked, failures)
 
@@ -112,27 +127,37 @@ def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
                                  table=None):
     """Check dual(A*C) = dual(A) * bar(C) and the matching invariants.
 
-    The first identity runs over all ordered basis pairs; the second,
-    <A,C,B> = <dual A, dual C, bar B>, over seeded basis triples.
+    The first identity runs over all ordered basis pairs, one diagram A
+    at a time, as the matrix identity M_A = M_{dual A}[dual, bar] with
+    M the table's multiplication matrices and dual, bar the rank
+    permutations; pairs whose columns differ are recomputed as classes,
+    to write their failure records.  The second,
+    <A,C,B> = <dual A, dual C, bar B>, runs over seeded basis triples.
+    Without a table, one is built.
     """
     def dual(lam):
         return poincare_dual(lam, ctx.k)
 
+    if table is None:
+        table = build_table(ctx)
+    dual_rank = rank_map(ctx, dual)
+    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
     checked = 0
     for ra in range(ctx.dim):
-        a = basis_class(ctx, ctx.basis[ra])
-        for rc in range(ctx.dim):
+        checked += ctx.dim
+        lhs = table.basis_matrix(ra)
+        rhs = table.basis_matrix(dual_rank[ra])[np.ix_(dual_rank, bar_rank)]
+        for rc in np.flatnonzero((lhs != rhs).any(axis=0)).tolist():
+            a = basis_class(ctx, ctx.basis[ra])
             c = basis_class(ctx, ctx.basis[rc])
-            checked += 1
-            lhs = relabel(quantum_product(a, c, table=table), dual)
-            rhs = quantum_product(relabel(a, dual), bar(c), table=table)
-            if lhs != rhs:
-                failures.append({"identity": "dual_product",
-                                 "a": list(trim(ctx.basis[ra])),
-                                 "c": list(trim(ctx.basis[rc])),
-                                 "lhs": terms_json(lhs),
-                                 "rhs": terms_json(rhs)})
+            failures.append({"identity": "dual_product",
+                             "a": list(trim(ctx.basis[ra])),
+                             "c": list(trim(ctx.basis[rc])),
+                             "lhs": terms_json(relabel(quantum_product(
+                                 a, c, table=table), dual)),
+                             "rhs": terms_json(quantum_product(
+                                 relabel(a, dual), bar(c), table=table))})
     rng = random.Random(seed)
     for _ in range(samples):
         ra, rb, rc = (rng.randrange(ctx.dim) for _ in range(3))

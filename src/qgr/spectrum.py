@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .classical import CohomClass, basis_class, terms_json
-from .involution import bar
-from .partitions import format_partition, trim
+from .classical import CohomClass, basis_class, rank_map, terms_json
+from .partitions import bar_involution, format_partition, trim
 from .quantum import DEFAULT_SEED, build_table
 from .reports import VerifyReport
 
@@ -61,14 +61,10 @@ def mult_matrix(c, table=None):
     for coeff in c.terms.values():
         if abs(coeff) >= _ENTRY_BOUND:
             raise OverflowError(f"coefficient {coeff} too large")
-    vec = _coeff_vector(c)
-    ranks = np.flatnonzero(vec)
-    which, col, target, coeff = table.pair_terms(ranks)
-    mat = np.zeros(ctx.dim * ctx.dim, dtype=np.int64)
-    np.add.at(mat, target * ctx.dim + col, vec[ranks][which] * coeff)
+    mat = table.matrix(_coeff_vector(c))
     if np.abs(mat).max(initial=0) >= _ENTRY_BOUND:
         raise OverflowError("matrix entries exceed the safe integer bound")
-    return mat.reshape(ctx.dim, ctx.dim)
+    return mat
 
 
 def basis_matrices(ctx, table=None):
@@ -207,7 +203,7 @@ def verify_conjugation(ctx, seed=DEFAULT_SEED, tol=CONJUGATION_TOL,
     """Character of bar(S) vs conjugated character of S, every point."""
     if spectral is None:
         spectral = joint_eigenbasis(ctx, seed=seed, table=table)
-    bar_rank = _bar_ranks(ctx)
+    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
     worst = 0.0
     checked = 0
@@ -236,12 +232,6 @@ def verify_point_conjugation(ctx, seed=DEFAULT_SEED, tol=CONJUGATION_TOL,
         {"problem": "conjugated coordinates do not match the point set"}]
     return VerifyReport("point_conjugation", ctx.k, ctx.n,
                         len(spectral.points), failures)
-
-
-def _bar_ranks(ctx):
-    """bar as a rank map: basis[r] goes to basis[bar_rank[r]]."""
-    return [bar(basis_class(ctx, lam)).sorted_terms()[0][0]
-            for lam in ctx.basis]
 
 
 def _bar_vector(c, bar_rank, dtype=np.int64):
@@ -291,7 +281,7 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL,
         spectral = joint_eigenbasis(ctx, seed=seed, table=table)
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
-    bar_rank = _bar_ranks(ctx)
+    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
     for i, c in enumerate(classes):
         issues = _positivity_issues(c, bar_rank, spectral, table, tol)
@@ -311,7 +301,7 @@ def verify_vanishing(ctx, classes=None, tol=1e-7, seed=DEFAULT_SEED,
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
     chars = spectral.character_matrix()
-    bar_rank = _bar_ranks(ctx)
+    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
     checked = 0
     for i, c in enumerate(classes):

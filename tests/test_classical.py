@@ -1,13 +1,15 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            classical_pieri, column_class, cup_product,
-                           lr_coefficient, pairing, point_class, relabel,
-                           row_class, unit_class, zero_class)
-from qgr.partitions import GrassmannContext, degree, trim
+                           lr_coefficient, pairing, point_class, rank_map,
+                           relabel, row_class, unit_class, zero_class)
+from qgr.partitions import (GrassmannContext, bar_involution, c_shift,
+                            degree, poincare_dual, trim)
 
 from conftest import all_contexts
 
@@ -120,6 +122,18 @@ class TestCohomClassArithmetic:
         a = class_from_parts(ctx, [((1, 0), 2), ((2, 1), -5), ((2, 2), 1)])
         assert relabel(a, lambda lam: lam) == a
         assert relabel(a, lambda lam: (0, 0)) == -2 * unit_class(ctx)
+
+    def test_rank_map_agrees_with_relabel(self, ctx_of):
+        for k, n in all_contexts(7):
+            ctx = ctx_of(k, n)
+            for image in (partial(poincare_dual, k=k),
+                          partial(bar_involution, k=k),
+                          partial(c_shift, j=2, k=k, n=n)):
+                ranks = rank_map(ctx, image)
+                assert ranks.dtype.kind == "i" and ranks.shape == (ctx.dim,)
+                for r, lam in enumerate(ctx.basis):
+                    assert relabel(basis_class(ctx, lam), image) == \
+                        CohomClass(ctx, {int(ranks[r]): 1}), (k, n, lam)
 
 
 class TestLittlewoodRichardson:

@@ -1,15 +1,15 @@
 import random
 
-import pytest
-
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
-                           point_class, relabel, row_class, unit_class)
+                           pairing, point_class, relabel, row_class,
+                           terms_json, unit_class)
 from qgr.involution import (bar, verify_dual_product_identity,
                             verify_duality_identities,
                             verify_involution_factorization,
                             verify_product_automorphism)
-from qgr.partitions import GrassmannContext, degree, poincare_dual
-from qgr.quantum import c_apply, quantum_product
+from qgr.partitions import GrassmannContext, degree, poincare_dual, trim
+from qgr.quantum import (StructureTable, c_apply, quantum_pieri_invariant,
+                         quantum_product)
 
 from conftest import all_contexts
 
@@ -132,19 +132,6 @@ class TestProductAutomorphism:
             assert verify_dual_product_identity(ctx, samples=100,
                                                 table=table).ok
 
-    def test_sampled_mode_deterministic(self, ctx_of, table_of):
-        ctx, table = ctx_of(2, 5), table_of(2, 5)
-        r1 = verify_product_automorphism(ctx, mode="sampled", samples=50,
-                                         seed=99, table=table)
-        r2 = verify_product_automorphism(ctx, mode="sampled", samples=50,
-                                         seed=99, table=table)
-        assert r1.ok and r1.checked == 50
-        assert r1.to_json_dict() == r2.to_json_dict()
-
-    def test_unknown_mode(self, ctx_of):
-        with pytest.raises(ValueError):
-            verify_product_automorphism(ctx_of(2, 4), mode="everything")
-
 
 class TestDualityIdentities:
     def test_all_small(self, ctx_of, table_of):
@@ -205,3 +192,109 @@ class TestReportShape:
         assert doc["ctx"] == {"k": 2, "n": 4}
         assert doc["suite"] == "involution_factorization"
         assert doc["checked"] == 6 and doc["failures"] == []
+
+
+def _corrupted(table, index):
+    """A copy of the table with one stored coefficient raised by 1."""
+    coeffs = table.coeffs.copy()
+    coeffs[index] += 1
+    return StructureTable(table.ctx, table.indptr, table.targets, coeffs)
+
+
+def _automorphism_reference(ctx, table):
+    """Failures of verify_product_automorphism, one pair at a time."""
+    failures = []
+    for ra in range(ctx.dim):
+        for rb in range(ra, ctx.dim):
+            a = basis_class(ctx, ctx.basis[ra])
+            b = basis_class(ctx, ctx.basis[rb])
+            lhs = bar(quantum_product(a, b, table=table))
+            rhs = quantum_product(bar(a), bar(b), table=table)
+            if lhs != rhs:
+                failures.append({"pair": [list(trim(ctx.basis[ra])),
+                                          list(trim(ctx.basis[rb]))],
+                                 "lhs": terms_json(lhs),
+                                 "rhs": terms_json(rhs)})
+    failures.sort(key=lambda f: f["pair"])
+    return failures
+
+
+def _row_invariant_reference(ctx, table):
+    """Row-invariant failures of verify_duality_identities, per triple."""
+    failures = []
+    for a in ctx.basis:
+        for s in ctx.basis:
+            prod = quantum_product(basis_class(ctx, poincare_dual(a, ctx.k)),
+                                   basis_class(ctx, poincare_dual(s, ctx.k)),
+                                   table=table)
+            for r in range(1, ctx.k + 1):
+                lhs = quantum_pieri_invariant(a, s, r, ctx)
+                rhs = pairing(prod, bar(row_class(ctx, r)))
+                if lhs != rhs:
+                    failures.append({"identity": "row_invariant_duality",
+                                     "a": list(trim(a)), "s": list(trim(s)),
+                                     "r": r, "lhs": lhs, "rhs": rhs})
+    failures.sort(key=lambda f: (f["identity"], str(f)))
+    return failures
+
+
+def _dual_product_reference(ctx, table):
+    """Ordered-pair failures of verify_dual_product_identity, per pair."""
+    def dual(lam):
+        return poincare_dual(lam, ctx.k)
+
+    failures = []
+    for ra in range(ctx.dim):
+        for rc in range(ctx.dim):
+            a = basis_class(ctx, ctx.basis[ra])
+            c = basis_class(ctx, ctx.basis[rc])
+            lhs = relabel(quantum_product(a, c, table=table), dual)
+            rhs = quantum_product(relabel(a, dual), bar(c), table=table)
+            if lhs != rhs:
+                failures.append({"identity": "dual_product",
+                                 "a": list(trim(ctx.basis[ra])),
+                                 "c": list(trim(ctx.basis[rc])),
+                                 "lhs": terms_json(lhs),
+                                 "rhs": terms_json(rhs)})
+    failures.sort(key=lambda f: (f["identity"], str(f)))
+    return failures
+
+
+class TestFailureRecords:
+    """Suites run per diagram must report what a per-pair loop reports."""
+
+    CONTEXTS = [(2, 4), (2, 5), (3, 6)]
+
+    def test_product_automorphism(self, ctx_of, table_of):
+        for k, n in self.CONTEXTS:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            bad = _corrupted(table, len(table.coeffs) // 3)
+            report = verify_product_automorphism(ctx, table=bad)
+            expected = _automorphism_reference(ctx, bad)
+            assert expected and report.failures == expected, (k, n)
+            assert report.checked == ctx.dim * (ctx.dim + 1) // 2
+
+    def test_duality_identities(self, ctx_of, table_of):
+        for k, n in self.CONTEXTS:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            # only the targets dual(bar (r)) enter the row invariants
+            read = set()
+            for r in range(1, k + 1):
+                (t, _), = bar(row_class(ctx, r)).sorted_terms()
+                read.add(ctx.rank(poincare_dual(ctx.basis[t], k)))
+            index = next(i for i, t in enumerate(table.targets.tolist())
+                         if t in read)
+            bad = _corrupted(table, index)
+            report = verify_duality_identities(ctx, table=bad)
+            expected = _row_invariant_reference(ctx, bad)
+            assert expected and report.failures == expected, (k, n)
+            assert report.checked == ctx.dim + ctx.dim ** 2 * k
+
+    def test_dual_product_identity(self, ctx_of, table_of):
+        for k, n in self.CONTEXTS:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            bad = _corrupted(table, len(table.coeffs) // 2)
+            report = verify_dual_product_identity(ctx, samples=0, table=bad)
+            expected = _dual_product_reference(ctx, bad)
+            assert expected and report.failures == expected, (k, n)
+            assert report.checked == ctx.dim ** 2

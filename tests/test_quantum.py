@@ -1,14 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qgr import quantum
-from qgr.classical import (basis_class, class_from_parts, classical_pieri,
-                           column_class, point_class, row_class, unit_class,
-                           zero_class)
-from qgr.partitions import GrassmannContext, degree
+from qgr.classical import (CohomClass, basis_class, class_from_parts,
+                           classical_pieri, column_class, point_class,
+                           row_class, terms_json, unit_class, zero_class)
+from qgr.partitions import GrassmannContext, degree, trim
 from qgr.quantum import (GWRecord, StructureTable, _basis_product,
+                         _giambelli_matrices, _product_via_giambelli,
                          build_table, c_apply, giambelli_expand,
                          gw_invariant, gw_record, quantum_pieri_invariant,
                          quantum_pieri_product, quantum_product,
@@ -93,6 +95,20 @@ class TestGiambelli:
         for k, n in all_contexts(6):
             assert verify_giambelli(ctx_of(k, n)).ok
 
+    def test_batched_expansion_matches_per_pair(self, ctx_of):
+        for k, n in all_contexts(7) + [(4, 8)]:
+            ctx = ctx_of(k, n)
+            seen = 0
+            for ra, g in _giambelli_matrices(ctx):
+                assert ra == seen
+                seen += 1
+                for rb in range(ctx.dim):
+                    column = {t: int(g[t, rb]) for t in np.flatnonzero(
+                        g[:, rb]).tolist()}
+                    assert column == _product_via_giambelli(ctx, ra, rb), \
+                        (k, n, ra, rb)
+            assert seen == ctx.dim
+
 
 class TestQuantumProduct:
     def test_hook_squared_g24(self):
@@ -167,6 +183,41 @@ class TestRingSuites:
         assert [f["pair"] for f in report.failures] == [[[2, 2], [2, 2]]]
         assert report.failures[0]["table"] == [{"p": [], "c": 2}]
         assert report.failures[0]["giambelli"] == [{"p": [], "c": 1}]
+
+
+def _commutativity_reference(ctx):
+    """Failures of verify_commutativity without a table, pair by pair."""
+    failures = []
+    for ra in range(ctx.dim):
+        for rb in range(ra, ctx.dim):
+            ab = _product_via_giambelli(ctx, ra, rb)
+            ba = _product_via_giambelli(ctx, rb, ra)
+            if ab != ba:
+                failures.append({
+                    "pair": [list(trim(ctx.basis[ra])),
+                             list(trim(ctx.basis[rb]))],
+                    "lhs": terms_json(CohomClass(ctx, ab)),
+                    "rhs": terms_json(CohomClass(ctx, ba))})
+    failures.sort(key=lambda f: f["pair"])
+    return failures
+
+
+class TestCommutativityFailureRecords:
+    def test_corrupted_pieri_row_without_table(self, monkeypatch):
+        pieri_row = quantum._pieri_row
+
+        def corrupted(ctx, r, rank):
+            # (1) times the fourth diagram gains one more target
+            row = pieri_row(ctx, r, rank)
+            return row + (ctx.dim - 1,) if (r, rank) == (1, 3) else row
+
+        monkeypatch.setattr(quantum, "_pieri_row", corrupted)
+        for k, n in [(2, 5), (3, 6)]:
+            ctx = GrassmannContext(k, n)
+            report = verify_commutativity(ctx)
+            expected = _commutativity_reference(ctx)
+            assert expected and report.failures == expected, (k, n)
+            assert report.checked == ctx.dim * (ctx.dim + 1) // 2
 
 
 class TestGWInvariant:
