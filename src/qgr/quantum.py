@@ -41,13 +41,9 @@ from .reports import VerifyReport
 
 DEFAULT_SEED = 0xC0FFEE
 
-# per-(k, n) memo of Pieri rows and basis products; pure data, so the
+# per-(k, n) memo of Pieri rows, keyed by (r, rank); pure data, so the
 # cache is observationally transparent
 _RING_CACHE = {}
-
-
-def _cache(ctx):
-    return _RING_CACHE.setdefault((ctx.k, ctx.n), {"pieri": {}, "prod": {}})
 
 
 def quantum_pieri_invariant(a, s, r, ctx):
@@ -74,7 +70,7 @@ def quantum_pieri_invariant(a, s, r, ctx):
 
 def _pieri_row(ctx, r, rank):
     """Ranks T with <basis[rank], dual T, (r)> = 1 (all coefficients 1)."""
-    cache = _cache(ctx)["pieri"]
+    cache = _RING_CACHE.setdefault((ctx.k, ctx.n), {})
     key = (r, rank)
     hit = cache.get(key)
     if hit is not None:
@@ -156,20 +152,13 @@ def _product_via_giambelli(ctx, expand_rank, other_rank):
 
 
 def _basis_product(ctx, ra, rb):
-    """Structure constants of basis[ra] * basis[rb], memoized."""
-    cache = _cache(ctx)["prod"]
-    key = (ra, rb) if ra <= rb else (rb, ra)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    la, lb = ctx.basis[key[0]], ctx.basis[key[1]]
-    if nonzero_rows(la) <= nonzero_rows(lb):
-        terms = _product_via_giambelli(ctx, key[0], key[1])
-    else:
-        terms = _product_via_giambelli(ctx, key[1], key[0])
-    items = tuple(sorted(terms.items()))
-    cache[key] = items
-    return items
+    """Structure constants of basis[ra] * basis[rb], sorted by rank.
+
+    Expands the factor with fewer rows, the lower rank on a tie.
+    """
+    if (nonzero_rows(ctx.basis[ra]), ra) > (nonzero_rows(ctx.basis[rb]), rb):
+        ra, rb = rb, ra
+    return tuple(sorted(_product_via_giambelli(ctx, ra, rb).items()))
 
 
 def quantum_product(a, b, table=None):
@@ -496,44 +485,26 @@ def _giambelli_matrices(ctx):
         yield rank, g
 
 
-def _asymmetric_pairs(ctx):
-    """Pairs ra < rb whose two Giambelli orientations differ."""
-    import numpy as np
-    # (ra, rb, target, coefficient) of each orientation of each pair
-    ab, ba = set(), set()
-    for ra, g in _giambelli_matrices(ctx):
-        ts, cols = np.nonzero(g)
-        for t, rb, c in zip(ts.tolist(), cols.tolist(), g[ts, cols].tolist()):
-            if rb > ra:
-                ab.add((ra, rb, t, c))
-            elif rb < ra:
-                ba.add((rb, ra, t, c))
-    return {(ra, rb) for ra, rb, _, _ in ab ^ ba}
-
-
 def verify_commutativity(ctx, table=None):
     """Compute each basis product both ways and compare.
 
     The two orientations expand different factors through the
     determinant, so they exercise genuinely different code paths.  Each
-    diagram's expansion runs once over all columns (_giambelli_matrices).
-    With a table, every diagram's Giambelli matrix must equal its
-    multiplication matrix; that matrix carries both orders of every
-    pair, so both orientations are held to the table, and a pair where
-    the table differs gets a failure carrying the table's terms.
-    Without one, the two orientations of each pair are compared.  Only
-    pairs that disagree are recomputed per pair, to write their
-    failure records.
+    diagram's expansion runs once over all columns (_giambelli_matrices)
+    and must equal the diagram's multiplication matrix in the table,
+    built here when none is given.  That matrix carries both orders of
+    every pair, so both orientations are held to it.  Only pairs that
+    disagree are recomputed per pair, to write their failure records:
+    one for two orientations that differ, one for a table that differs.
     """
     import numpy as np
     if table is None:
-        suspects = _asymmetric_pairs(ctx)
-    else:
-        suspects = set()
-        for ra, g in _giambelli_matrices(ctx):
-            diff = (g != table.basis_matrix(ra)).any(axis=0)
-            suspects.update((min(ra, rb), max(ra, rb))
-                            for rb in np.flatnonzero(diff).tolist())
+        table = build_table(ctx)
+    suspects = set()
+    for ra, g in _giambelli_matrices(ctx):
+        diff = (g != table.basis_matrix(ra)).any(axis=0)
+        suspects.update((min(ra, rb), max(ra, rb))
+                        for rb in np.flatnonzero(diff).tolist())
     failures = []
     for ra, rb in sorted(suspects):
         pair = [list(trim(ctx.basis[ra])), list(trim(ctx.basis[rb]))]
@@ -543,7 +514,7 @@ def verify_commutativity(ctx, table=None):
             failures.append({"pair": pair,
                              "lhs": terms_json(CohomClass(ctx, ab)),
                              "rhs": terms_json(CohomClass(ctx, ba))})
-        if table is not None and dict(table.product_ranks(ra, rb)) != ab:
+        if dict(table.product_ranks(ra, rb)) != ab:
             failures.append({"pair": pair,
                              "table": terms_json(CohomClass(
                                  ctx, dict(table.product_ranks(ra, rb)))),

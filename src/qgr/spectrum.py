@@ -1,15 +1,22 @@
 """The ring over the complex numbers as functions on its spectrum.
 
-Multiplication by any class is a dim x dim integer matrix in the
-diagram basis, and all such matrices commute.  A seeded random
-combination of the row-class generators has simple spectrum; its
-eigenvectors split the complexified ring into binomial(n, k) points,
-and the value of a class at a point is the Rayleigh quotient of its
-matrix on the eigenvector.  Each point is certified by the worst
-generator residual rather than trusted from the eigensolver.
+At q = 1 the complexified ring is a product of binomial(n, k) copies
+of C.  Its points are the l-subsets S of the n roots
 
-The suites here check that relabeling diagrams by the involution
-conjugates every character value, that multiplication by C * bar(C)
+    x_j = exp(i pi (2j + l - 1) / n),   j = 0..n-1,
+
+of x^n = (-1)^(l-1), and the value of the diagram lam at S is the
+Schur polynomial s_lam(x_S), computed as the bialternant
+det(x_i^(lam_j + l - j)) / det(x_i^(l - j)) (Rietsch; Postnikov).
+Each point is certified, not trusted: its values must satisfy every
+quantum Pieri rule of the row classes, which generate the ring.
+Complex conjugation sends x_j to x_{-j-(l-1) mod n}, so it maps the
+point S to another point, the subset S-bar.
+
+Multiplication by any class is a dim x dim integer matrix in the
+diagram basis.  The suites here check that relabeling diagrams by the
+involution conjugates every character value, that conjugation
+permutes the points as S -> S-bar, that multiplication by C * bar(C)
 is an exactly symmetric positive semidefinite matrix with real
 non-negative values, and that C and bar(C) vanish at the same points.
 """
@@ -19,18 +26,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 
 from .classical import CohomClass, basis_class, rank_map, terms_json
 from .partitions import bar_involution, format_partition, trim
-from .quantum import DEFAULT_SEED, build_table
+from .quantum import DEFAULT_SEED, _pieri_row, build_table
 from .reports import VerifyReport
 
-GAP_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 CONJUGATION_TOL = 1e-6
-MAX_ATTEMPTS = 5
+
+# largest dimension the dense dim x dim matrices of this module serve
+MAX_DIM = 2000
 
 # structure constants stay tiny at desk scale; guard anyway so a bad
 # table turns into an error instead of silent int64 wraparound
@@ -38,7 +47,7 @@ _ENTRY_BOUND = 2 ** 31
 
 
 class DegenerateSpectrum(RuntimeError):
-    """No generator combination produced a certified simple spectrum."""
+    """The closed-form characters failed their Pieri certificate."""
 
 
 def _coeff_vector(c, dtype=np.int64):
@@ -67,18 +76,10 @@ def mult_matrix(c, table=None):
     return mat
 
 
-def basis_matrices(ctx, table=None):
-    """Multiplication matrices of every basis diagram, by rank."""
-    if table is None:
-        table = build_table(ctx)
-    return [mult_matrix(basis_class(ctx, lam), table=table)
-            for lam in ctx.basis]
-
-
 @dataclass(frozen=True)
 class SpectralPoint:
     index: int
-    eigenvector: np.ndarray     # unit norm, first sizable entry real > 0
+    subset: tuple               # S, an l-subset of range(n)
     characters: np.ndarray      # complex value per basis rank
     coords: tuple               # characters of the row classes (1..k)
     residual: float
@@ -87,83 +88,69 @@ class SpectralPoint:
 @dataclass(frozen=True)
 class SpectralData:
     ctx: object
-    seed: int
-    gap_tol: float
     residual_tol: float
+    characters: np.ndarray      # points x dim, read-only
     points: tuple
 
     def character_matrix(self):
         """points x dim complex matrix of character values."""
-        return np.stack([p.characters for p in self.points])
+        return self.characters
 
 
-def _normalize(v):
-    v = v / np.linalg.norm(v)
-    scale = np.abs(v).max()
-    for entry in v:
-        if abs(entry) > 1e-8 * scale:
-            return v * (entry.conjugate() / abs(entry))
-    return v
+def _root_powers(ctx):
+    """x_j^e for the n roots x_j and exponents e in 0..n-1."""
+    n = ctx.n
+    # reduce the angle mod 2 pi in integers before scaling by pi / n
+    turns = np.outer(2 * np.arange(n) + ctx.l - 1, np.arange(n)) % (2 * n)
+    return np.exp(1j * np.pi / n * turns)
 
 
-def joint_eigenbasis(ctx, seed=DEFAULT_SEED, residual_tol=RESIDUAL_TOL,
-                     gap_tol=GAP_TOL, table=None):
-    """Split the complexified ring into its binomial(n, k) points.
+def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
+    """The binomial(n, k) points of the spectrum, in closed form.
 
-    Draws generator weights t_i in [1, 2] from the seed, demands dim
-    pairwise-distinct eigenvalues of sum(t_i * M_i) with relative gap
-    above gap_tol, and certifies every eigenvector by its worst
-    generator residual.  Redraws up to five times before raising
-    DegenerateSpectrum.  Points come back sorted by their coordinates.
+    Points are the l-subsets S of range(n) in itertools.combinations
+    order.  Characters are bialternants over x_S, one diagram at a
+    time over all points.  Each point's residual is the larger of
+    |X_S(unit) - 1| and max_r |X_S P_r - X_S((r)) X_S|, with P_r the
+    quantum Pieri matrix of the row class (r): as the row classes
+    generate the ring, a residual of zero makes X_S a ring character.
+    Raises DegenerateSpectrum when the worst residual exceeds
+    residual_tol.
     """
-    if ctx.dim > 2000:
-        raise ValueError(f"dimension {ctx.dim} is beyond the dense "
-                         "eigendecomposition this module is built for")
-    if table is None:
-        table = build_table(ctx)
-    mats = basis_matrices(ctx, table=table)
-    row_ranks = [ctx.rank((r,) + (0,) * (ctx.l - 1))
-                 for r in range(1, ctx.k + 1)]
-    gen_mats = [mats[r].astype(np.complex128) for r in row_ranks]
-    rng = np.random.default_rng(seed)
-    last_problem = "no attempt made"
-    for _ in range(MAX_ATTEMPTS):
-        weights = rng.uniform(1.0, 2.0, size=ctx.k)
-        combo = sum(w * m for w, m in zip(weights, gen_mats))
-        eigvals, eigvecs = np.linalg.eig(combo)
-        scale = max(1.0, np.abs(eigvals).max())
-        gap = min((abs(a - b) for i, a in enumerate(eigvals)
-                   for b in eigvals[i + 1:]), default=np.inf)
-        if gap <= gap_tol * scale:
-            last_problem = f"eigenvalue gap {gap:.3e} below threshold"
-            continue
-        points = []
-        worst = 0.0
-        for idx in range(ctx.dim):
-            v = _normalize(eigvecs[:, idx])
-            chars = np.empty(ctx.dim, dtype=np.complex128)
-            residual = 0.0
-            for rank in range(ctx.dim):
-                image = mats[rank] @ v
-                chars[rank] = np.vdot(v, image)  # v unit: Rayleigh value
-                if rank in row_ranks:
-                    residual = max(residual,
-                                   np.linalg.norm(image - chars[rank] * v))
-            worst = max(worst, residual)
-            coords = tuple(complex(chars[r]) for r in row_ranks)
-            points.append(SpectralPoint(idx, v, chars, coords, residual))
-        if worst > residual_tol:
-            last_problem = f"generator residual {worst:.3e} above tolerance"
-            continue
-        points.sort(key=lambda p: tuple((round(z.real, 9), round(z.imag, 9))
-                                        for z in p.coords))
-        points = tuple(SpectralPoint(i, p.eigenvector, p.characters,
-                                     p.coords, p.residual)
-                       for i, p in enumerate(points))
-        return SpectralData(ctx, seed, gap_tol, residual_tol, points)
-    raise DegenerateSpectrum(
-        f"no certified simple spectrum for {ctx} after {MAX_ATTEMPTS} "
-        f"draws (seed {seed}): {last_problem}")
+    dim, l = ctx.dim, ctx.l
+    subsets = np.array(list(combinations(range(ctx.n), l)), dtype=np.intp)
+    powers = _root_powers(ctx)
+    shift = np.arange(l - 1, -1, -1)     # l - j for j = 1..l
+
+    def alternant(exponents):
+        return np.linalg.det(powers[subsets[:, :, None], exponents])
+
+    vandermonde = alternant(shift)
+    chars = np.empty((len(subsets), dim), dtype=np.complex128)
+    for rank, lam in enumerate(ctx.basis):
+        chars[:, rank] = alternant(np.add(lam, shift)) / vandermonde
+
+    residual = np.abs(chars[:, 0] - 1)
+    row_ranks = [ctx.rank((r,) + (0,) * (l - 1)) for r in range(1, ctx.k + 1)]
+    for r, rank in enumerate(row_ranks, start=1):
+        pieri = np.zeros((dim, dim))
+        for j in range(dim):
+            pieri[list(_pieri_row(ctx, r, j)), j] = 1.0
+        dev = np.linalg.norm(chars @ pieri - chars[:, rank, None] * chars,
+                             axis=1)
+        residual = np.maximum(residual, dev)
+    worst = float(residual.max())
+    if worst > residual_tol:
+        raise DegenerateSpectrum(
+            f"closed-form characters of {ctx} fail the Pieri certificate: "
+            f"residual {worst:.3e} above {residual_tol:.3e}")
+    chars.flags.writeable = False
+    points = tuple(
+        SpectralPoint(i, tuple(s), chars[i],
+                      tuple(complex(z) for z in chars[i, row_ranks]),
+                      float(residual[i]))
+        for i, s in enumerate(subsets.tolist()))
+    return SpectralData(ctx, residual_tol, chars, points)
 
 
 def evaluate(a, spectral):
@@ -174,59 +161,42 @@ def evaluate(a, spectral):
 
 
 def conjugation_point_permutation(spectral, tol=CONJUGATION_TOL):
-    """Match each point's conjugated coordinates to another point.
+    """The point map S -> S-bar of complex conjugation, checked.
 
-    Returns the permutation as a list, or None if some conjugated
-    point has no partner within tol.
+    Entry i is the index of the conjugate subset of point i.  Returns
+    None unless every point's conjugated coordinates match those of
+    its image within tol.
     """
-    coords = [np.array(p.coords) for p in spectral.points]
-    used = set()
-    perm = []
-    for c in coords:
-        target = c.conjugate()
-        found = None
-        for j, other in enumerate(coords):
-            if j in used:
-                continue
-            if np.abs(other - target).max(initial=0.0) <= tol:
-                found = j
-                break
-        if found is None:
-            return None
-        used.add(found)
-        perm.append(found)
+    ctx = spectral.ctx
+    index = {p.subset: p.index for p in spectral.points}
+    perm = [index[tuple(sorted((-j - (ctx.l - 1)) % ctx.n
+                               for j in p.subset))]
+            for p in spectral.points]
+    coords = np.array([p.coords for p in spectral.points])
+    if np.abs(coords[perm] - coords.conj()).max(initial=0.0) > tol:
+        return None
     return perm
 
 
-def verify_conjugation(ctx, seed=DEFAULT_SEED, tol=CONJUGATION_TOL,
-                       spectral=None, table=None):
+def verify_conjugation(ctx, tol=CONJUGATION_TOL, spectral=None):
     """Character of bar(S) vs conjugated character of S, every point."""
     if spectral is None:
-        spectral = joint_eigenbasis(ctx, seed=seed, table=table)
+        spectral = joint_eigenbasis(ctx)
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
-    failures = []
-    worst = 0.0
-    checked = 0
-    for p in spectral.points:
-        for rank in range(ctx.dim):
-            checked += 1
-            dev = abs(p.characters[bar_rank[rank]]
-                      - p.characters[rank].conjugate())
-            worst = max(worst, dev)
-            if dev > tol:
-                failures.append({"point": p.index,
-                                 "lam": list(trim(ctx.basis[rank])),
-                                 "deviation": dev})
+    chars = spectral.character_matrix()
+    dev = np.abs(chars[:, bar_rank] - chars.conj())
+    failures = [{"point": p, "lam": list(trim(ctx.basis[rank])),
+                 "deviation": float(dev[p, rank])}
+                for p, rank in np.argwhere(dev > tol).tolist()]
     failures.sort(key=lambda f: (f["point"], f["lam"]))
-    return VerifyReport("conjugation", ctx.k, ctx.n, checked, failures,
-                        extra={"max_deviation": worst})
+    return VerifyReport("conjugation", ctx.k, ctx.n, dev.size, failures,
+                        extra={"max_deviation": float(dev.max(initial=0.0))})
 
 
-def verify_point_conjugation(ctx, seed=DEFAULT_SEED, tol=CONJUGATION_TOL,
-                             spectral=None, table=None):
-    """Conjugation permutes the point set (as coordinate multisets)."""
+def verify_point_conjugation(ctx, tol=CONJUGATION_TOL, spectral=None):
+    """Conjugation maps the point S to the point S-bar."""
     if spectral is None:
-        spectral = joint_eigenbasis(ctx, seed=seed, table=table)
+        spectral = joint_eigenbasis(ctx)
     perm = conjugation_point_permutation(spectral, tol=tol)
     failures = [] if perm is not None else [
         {"problem": "conjugated coordinates do not match the point set"}]
@@ -265,8 +235,8 @@ def _positivity_issues(c, bar_rank, spectral, table, tol):
     return issues
 
 
-def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL,
-                      seed=DEFAULT_SEED, spectral=None, table=None):
+def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
+                      table=None):
     """Symmetry and semipositivity of multiplication by C * bar(C).
 
     Checks, for each class C: exact integer symmetry of the matrix,
@@ -278,7 +248,7 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL,
     if table is None:
         table = build_table(ctx)
     if spectral is None:
-        spectral = joint_eigenbasis(ctx, seed=seed, table=table)
+        spectral = joint_eigenbasis(ctx)
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
@@ -291,13 +261,10 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL,
     return VerifyReport("positivity", ctx.k, ctx.n, len(classes), failures)
 
 
-def verify_vanishing(ctx, classes=None, tol=1e-7, seed=DEFAULT_SEED,
-                     spectral=None, table=None):
+def verify_vanishing(ctx, classes=None, tol=1e-7, spectral=None):
     """C vanishes at a point exactly when bar(C) does, within tol."""
-    if table is None:
-        table = build_table(ctx)
     if spectral is None:
-        spectral = joint_eigenbasis(ctx, seed=seed, table=table)
+        spectral = joint_eigenbasis(ctx)
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
     chars = spectral.character_matrix()
@@ -328,7 +295,7 @@ def random_integer_classes(ctx, count, seed=DEFAULT_SEED, bound=5):
 def spectrum_json_dict(spectral):
     """The documented JSON form of a spectrum."""
     ctx = spectral.ctx
-    doc = {"k": ctx.k, "n": ctx.n, "seed": spectral.seed,
+    doc = {"k": ctx.k, "n": ctx.n,
            "points": [{"coords": [[z.real, z.imag] for z in p.coords],
                        "residual": p.residual}
                       for p in spectral.points],

@@ -20,7 +20,7 @@ def _table(k, n):
 
 def _spectral(k, n):
     if (k, n) not in _SPECTRA:
-        _SPECTRA[(k, n)] = joint_eigenbasis(_ctx(k, n), table=_table(k, n))
+        _SPECTRA[(k, n)] = joint_eigenbasis(_ctx(k, n))
     return _SPECTRA[(k, n)]
 
 
@@ -38,7 +38,7 @@ def table_of():
 
 @pytest.fixture(scope="session")
 def spectral_of():
-    """Shared spectral data factory with the default seed."""
+    """Shared spectral data factory, computed once per (k, n)."""
     return _spectral
 
 

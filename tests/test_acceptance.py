@@ -215,8 +215,7 @@ def test_criterion_10_positivity_suite(ctx_of, table_of, spectral_of):
         assert r.ok, (k, n, r.failures[:2])
         checked += r.checked
         r = verify_vanishing(ctx, classes, tol=1e-7,
-                             spectral=spectral_of(k, n),
-                             table=table_of(k, n))
+                             spectral=spectral_of(k, n))
         assert r.ok, (k, n, r.failures[:2])
     elapsed = time.monotonic() - start
     report(10, True,

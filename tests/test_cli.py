@@ -131,6 +131,16 @@ class TestVerify:
         suites = {s["suite"]: s for s in doc["suites"]}
         assert suites["product_automorphism"]["checked"] == 55
 
+    def test_spectrum_size_limit_checked_first(self, capsys, monkeypatch):
+        def refuse(ctx):
+            raise AssertionError("work started before the size check")
+
+        monkeypatch.setattr(cli.quantum, "build_table", refuse)
+        for suite in ("spectrum", "all"):
+            code, out, err = run(capsys, "verify", "--k", "7", "--n", "14",
+                                 "--suite", suite)
+            assert code == 2 and out == "" and "dimension 3432" in err
+
     def test_failure_maps_to_exit_one(self, capsys, monkeypatch):
         from qgr.reports import VerifyReport
 
@@ -164,6 +174,24 @@ class TestSpectrumCommand:
         _, out2, _ = run(capsys, "spectrum", "--k", "2", "--n", "4")
         assert out1 == out2
 
+    def test_size_limit_exits_two(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--k", "7", "--n", "14")
+        assert code == 2 and out == "" and "dimension 3432" in err
+
+    def test_builds_no_table(self, capsys, monkeypatch):
+        def refuse(ctx):
+            raise AssertionError("spectrum built a structure table")
+
+        monkeypatch.setattr(cli.quantum, "build_table", refuse)
+        monkeypatch.setattr(cli.spectrum, "build_table", refuse)
+        code, out, _ = run(capsys, "spectrum", "--k", "3", "--n", "6")
+        assert code == 0 and len(json.loads(out)["points"]) == 20
+
+    def test_seed_flag_rejected(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["spectrum", "--k", "2", "--n", "4", "--seed", "1"])
+        assert info.value.code == 2
+
     def test_degenerate_maps_to_exit_three(self, capsys, monkeypatch):
         def fake(ctx, **kwargs):
             raise DegenerateSpectrum("forced for the test")
@@ -184,6 +212,14 @@ class TestArgparseBehavior:
             cli.main(["mul", "--k", "2", "--n", "4", "--a", "1", "--b", "1",
                       "--cache"])
         assert info.value.code == 2
+
+    def test_internal_value_error_is_not_bad_input(self, monkeypatch):
+        def broken(a, b):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli.quantum, "quantum_product", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["mul", "--k", "2", "--n", "4", "--a", "1", "--b", "1"])
 
     def test_console_entry_point(self):
         assert callable(cli.entry)

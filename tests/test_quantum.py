@@ -185,19 +185,23 @@ class TestRingSuites:
         assert report.failures[0]["giambelli"] == [{"p": [], "c": 1}]
 
 
-def _commutativity_reference(ctx):
-    """Failures of verify_commutativity without a table, pair by pair."""
+def _commutativity_reference(ctx, table):
+    """Failures of verify_commutativity against a table, pair by pair."""
     failures = []
     for ra in range(ctx.dim):
         for rb in range(ra, ctx.dim):
+            pair = [list(trim(ctx.basis[ra])), list(trim(ctx.basis[rb]))]
             ab = _product_via_giambelli(ctx, ra, rb)
             ba = _product_via_giambelli(ctx, rb, ra)
             if ab != ba:
-                failures.append({
-                    "pair": [list(trim(ctx.basis[ra])),
-                             list(trim(ctx.basis[rb]))],
-                    "lhs": terms_json(CohomClass(ctx, ab)),
-                    "rhs": terms_json(CohomClass(ctx, ba))})
+                failures.append({"pair": pair,
+                                 "lhs": terms_json(CohomClass(ctx, ab)),
+                                 "rhs": terms_json(CohomClass(ctx, ba))})
+            stored = dict(table.product_ranks(ra, rb))
+            if stored != ab:
+                failures.append({"pair": pair,
+                                 "table": terms_json(CohomClass(ctx, stored)),
+                                 "giambelli": terms_json(CohomClass(ctx, ab))})
     failures.sort(key=lambda f: f["pair"])
     return failures
 
@@ -211,12 +215,27 @@ class TestCommutativityFailureRecords:
             row = pieri_row(ctx, r, rank)
             return row + (ctx.dim - 1,) if (r, rank) == (1, 3) else row
 
-        monkeypatch.setattr(quantum, "_pieri_row", corrupted)
         for k, n in [(2, 5), (3, 6)]:
             ctx = GrassmannContext(k, n)
-            report = verify_commutativity(ctx)
-            expected = _commutativity_reference(ctx)
-            assert expected and report.failures == expected, (k, n)
+            table = build_table(ctx)    # from the true Pieri rows
+            built = []
+
+            def build(c):
+                built.append(c)
+                return table
+
+            with monkeypatch.context() as patch:
+                # the suite builds its own table, and only the
+                # Giambelli side sees the corrupted row
+                patch.setattr(quantum, "build_table", build)
+                patch.setattr(quantum, "_pieri_row", corrupted)
+                report = verify_commutativity(ctx)
+                expected = _commutativity_reference(ctx, table)
+            assert built == [ctx]
+            kinds = {tuple(sorted(f)) for f in expected}
+            assert kinds == {("giambelli", "pair", "table"),
+                             ("lhs", "pair", "rhs")}, (k, n)
+            assert report.failures == expected, (k, n)
             assert report.checked == ctx.dim * (ctx.dim + 1) // 2
 
 

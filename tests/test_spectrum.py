@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import comb
 
@@ -5,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgr import spectrum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            row_class, unit_class, zero_class)
 from qgr.involution import bar
 from qgr.partitions import GrassmannContext
 from qgr.quantum import quantum_product
-from qgr.spectrum import (DegenerateSpectrum, basis_matrices,
-                          conjugation_point_permutation, evaluate,
-                          joint_eigenbasis, mult_matrix,
+from qgr.spectrum import (DegenerateSpectrum, conjugation_point_permutation,
+                          evaluate, joint_eigenbasis, mult_matrix,
                           random_integer_classes, spectrum_json_dict,
                           verify_conjugation, verify_point_conjugation,
                           verify_positivity, verify_vanishing)
@@ -57,7 +58,8 @@ class TestMultMatrix:
 
     def test_all_pairs_commute(self, ctx_of, table_of):
         for k, n in all_contexts(8):
-            mats = basis_matrices(ctx_of(k, n), table=table_of(k, n))
+            table = table_of(k, n)
+            mats = [table.basis_matrix(r) for r in range(ctx_of(k, n).dim)]
             for ma, mb in itertools.combinations(mats, 2):
                 assert np.array_equal(ma @ mb, mb @ ma)
 
@@ -161,25 +163,50 @@ class TestJointEigenbasis:
                     direct = chars[:, ra] * chars[:, rb]
                     assert np.abs(prod - direct).max() <= 1e-6
 
-    def test_deterministic_given_seed(self, ctx_of, table_of):
-        ctx, table = ctx_of(2, 4), table_of(2, 4)
-        s1 = joint_eigenbasis(ctx, seed=123, table=table)
-        s2 = joint_eigenbasis(ctx, seed=123, table=table)
+    def test_deterministic(self, ctx_of):
+        s1 = joint_eigenbasis(ctx_of(2, 4))
+        s2 = joint_eigenbasis(ctx_of(2, 4))
         for p1, p2 in zip(s1.points, s2.points):
             assert p1.coords == p2.coords and p1.residual == p2.residual
+        assert np.array_equal(s1.character_matrix(), s2.character_matrix())
 
-    def test_eigenvector_normalization(self, spectral_of):
-        for p in spectral_of(2, 4).points:
-            v = p.eigenvector
-            assert abs(np.linalg.norm(v) - 1) < 1e-12
-            scale = np.abs(v).max()
-            lead = next(x for x in v if abs(x) > 1e-8 * scale)
-            assert abs(lead.imag) < 1e-12 and lead.real > 0
+    def test_points_in_subset_order(self, ctx_of, spectral_of):
+        for k, n in all_contexts(6):
+            sd = spectral_of(k, n)
+            assert [p.subset for p in sd.points] == \
+                list(itertools.combinations(range(n), n - k))
+            assert [p.index for p in sd.points] == list(range(comb(n, k)))
+            chars = sd.character_matrix()
+            assert not chars.flags.writeable
+            for p in sd.points:
+                assert np.array_equal(p.characters, chars[p.index])
 
-    def test_impossible_gap_raises(self, ctx_of, table_of):
-        with pytest.raises(DegenerateSpectrum):
-            joint_eigenbasis(ctx_of(2, 4), gap_tol=100.0,
-                             table=table_of(2, 4))
+    def test_coords_match_generator_eigenvalues(self, ctx_of, table_of,
+                                                spectral_of):
+        # independent oracle: the values of the row class (r) at the
+        # points are the eigenvalues of its multiplication matrix
+        for k, n in all_contexts(7):
+            ctx, table, sd = ctx_of(k, n), table_of(k, n), spectral_of(k, n)
+            for r in range(1, k + 1):
+                mat = table.basis_matrix(ctx.rank((r,) + (0,) * (n - k - 1)))
+                eigvals = list(np.linalg.eigvals(mat.astype(np.float64)))
+                for p in sd.points:
+                    dist = [abs(z - p.coords[r - 1]) for z in eigvals]
+                    i = int(np.argmin(dist))
+                    assert dist[i] <= 1e-8, (k, n, r, p.subset)
+                    eigvals.pop(i)
+                assert not eigvals
+
+    def test_corrupted_pieri_row_raises(self, ctx_of, monkeypatch):
+        pieri_row = spectrum._pieri_row
+
+        def corrupted(ctx, r, rank):
+            row = pieri_row(ctx, r, rank)
+            return row + (ctx.dim - 1,) if (r, rank) == (1, 3) else row
+
+        monkeypatch.setattr(spectrum, "_pieri_row", corrupted)
+        with pytest.raises(DegenerateSpectrum, match="Pieri certificate"):
+            joint_eigenbasis(ctx_of(2, 4))
 
 
 class TestEvaluate:
@@ -231,6 +258,43 @@ class TestConjugation:
             assert sorted(perm) == list(range(len(sd.points)))
             assert verify_point_conjugation(ctx_of(k, n), spectral=sd).ok
 
+    def test_points_map_to_conjugate_subsets(self, spectral_of):
+        for k, n in all_contexts(7):
+            sd = spectral_of(k, n)
+            perm = conjugation_point_permutation(sd)
+            for p in sd.points:
+                image = sd.points[perm[p.index]]
+                # conj(x_j) = x_{-j-(l-1) mod n} on the roots
+                assert sorted((-j - (n - k - 1)) % n for j in p.subset) == \
+                    list(image.subset)
+                assert np.abs(np.conj(p.characters) - image.characters) \
+                    .max() <= 1e-9
+
+    def test_perturbed_characters_are_reported(self, ctx_of, spectral_of):
+        ctx, sd = ctx_of(2, 4), spectral_of(2, 4)
+        chars = sd.character_matrix().copy()
+        # (2) and (1,1) are swapped by bar; move one value at point 4
+        chars[4, ctx.rank((2, 0))] += 1e-3
+        report = verify_conjugation(
+            ctx, spectral=dataclasses.replace(sd, characters=chars))
+        assert report.checked == 36
+        assert [(f["point"], f["lam"]) for f in report.failures] == \
+            [(4, [1, 1]), (4, [2])]
+        assert all(abs(f["deviation"] - 1e-3) < 1e-9
+                   for f in report.failures)
+        assert abs(report.extra["max_deviation"] - 1e-3) < 1e-9
+
+    def test_perturbed_point_fails(self, ctx_of, spectral_of):
+        sd = spectral_of(2, 5)
+        p = sd.points[3]
+        moved = dataclasses.replace(
+            p, coords=(p.coords[0] + 1e-3j,) + p.coords[1:])
+        bad = dataclasses.replace(
+            sd, points=sd.points[:3] + (moved,) + sd.points[4:])
+        assert conjugation_point_permutation(bad) is None
+        report = verify_point_conjugation(ctx_of(2, 5), spectral=bad)
+        assert not report.ok and report.checked == 10
+
 
 class TestPositivity:
     def test_zero_class(self, ctx_of, table_of, spectral_of):
@@ -260,40 +324,37 @@ class TestPositivity:
 
 
 class TestVanishing:
-    def test_unit_and_zero(self, ctx_of, table_of, spectral_of):
+    def test_unit_and_zero(self, ctx_of, spectral_of):
         ctx = ctx_of(2, 4)
         report = verify_vanishing(ctx, [unit_class(ctx), zero_class(ctx)],
-                                  spectral=spectral_of(2, 4),
-                                  table=table_of(2, 4))
+                                  spectral=spectral_of(2, 4))
         assert report.ok
 
-    def test_s1_vanishes_with_its_image(self, ctx_of, table_of, spectral_of):
+    def test_s1_vanishes_with_its_image(self, ctx_of, spectral_of):
         # regression: the row class of G(2,4) vanishes at exactly two
-        # points (verified from the certified eigendata), and the
+        # points (verified from the certified characters), and the
         # equivalence with its involution image must hold there
         ctx, sd = ctx_of(2, 4), spectral_of(2, 4)
         s1 = row_class(ctx, 1)
         values = evaluate(s1, sd)
         assert sum(1 for v in values if abs(v) < 1e-8) == 2
-        report = verify_vanishing(ctx, [s1], spectral=sd,
-                                  table=table_of(2, 4))
+        report = verify_vanishing(ctx, [s1], spectral=sd)
         assert report.ok
 
-    def test_random_classes(self, ctx_of, table_of, spectral_of):
+    def test_random_classes(self, ctx_of, spectral_of):
         for k, n in all_contexts(5):
             ctx = ctx_of(k, n)
             classes = [basis_class(ctx, lam) for lam in ctx.basis]
             classes += random_integer_classes(ctx, 25, seed=29)
             report = verify_vanishing(ctx, classes,
-                                      spectral=spectral_of(k, n),
-                                      table=table_of(k, n))
+                                      spectral=spectral_of(k, n))
             assert report.ok
 
 
 class TestSpectrumJson:
     def test_schema(self, spectral_of):
         doc = spectrum_json_dict(spectral_of(2, 4))
-        assert set(doc) == {"k", "n", "seed", "points", "characters"}
+        assert set(doc) == {"k", "n", "points", "characters"}
         assert doc["k"] == 2 and doc["n"] == 4
         assert len(doc["points"]) == 6
         for p in doc["points"]:
