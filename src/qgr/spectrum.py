@@ -6,10 +6,10 @@ of C.  Its points are the l-subsets S of the n roots
     x_j = exp(i pi (2j + l - 1) / n),   j = 0..n-1,
 
 of x^n = (-1)^(l-1), and the value of the diagram lam at S is the
-Schur polynomial s_lam(x_S), computed as the bialternant
-det(x_i^(lam_j + l - j)) / det(x_i^(l - j)) (Rietsch; Postnikov).
-Each point is certified, not trusted: its values must satisfy every
-quantum Pieri rule of the row classes, which generate the ring.
+Schur polynomial s_lam(x_S) (Rietsch; Postnikov), computed as a
+Jacobi-Trudi determinant of size min(k, l).  Each point is certified,
+not trusted: its values must satisfy every quantum Pieri rule of the
+row classes, which generate the ring, and no two points may agree.
 Complex conjugation sends x_j to x_{-j-(l-1) mod n}, so it maps the
 point S to another point, the subset S-bar.
 
@@ -31,12 +31,14 @@ from itertools import combinations
 import numpy as np
 
 from .classical import CohomClass, basis_class, rank_map, terms_json
-from .partitions import bar_involution, format_partition, trim
+from .partitions import bar_involution, degree, format_partition, trim
 from .quantum import DEFAULT_SEED, _pieri_row, build_table
 from .reports import VerifyReport
 
 RESIDUAL_TOL = 1e-8
 CONJUGATION_TOL = 1e-6
+# two points whose generating values agree this closely are one point
+SEPARATION_TOL = 1e-6
 
 # largest dimension the dense dim x dim matrices of this module serve
 MAX_DIM = 2000
@@ -80,7 +82,6 @@ def mult_matrix(c, table=None):
 class SpectralPoint:
     index: int
     subset: tuple               # S, an l-subset of range(n)
-    characters: np.ndarray      # complex value per basis rank
     coords: tuple               # characters of the row classes (1..k)
     residual: float
 
@@ -97,59 +98,97 @@ class SpectralData:
         return self.characters
 
 
-def _root_powers(ctx):
-    """x_j^e for the n roots x_j and exponents e in 0..n-1."""
-    n = ctx.n
-    # reduce the angle mod 2 pi in integers before scaling by pi / n
-    turns = np.outer(2 * np.arange(n) + ctx.l - 1, np.arange(n)) % (2 * n)
-    return np.exp(1j * np.pi / n * turns)
+def _complete(x, top):
+    """h_0..h_top of the variables in each row of x, one row per point.
+
+    Expands prod(1 + x_j t) into e_1..e_m, then solves
+    sum_i (-1)^i e_i h_(r-i) = 0 for h_r degree by degree.
+    """
+    points, m = x.shape
+    e = np.zeros((points, m + 1), dtype=np.complex128)
+    e[:, 0] = 1
+    for j in range(m):
+        e[:, 1:j + 2] += x[:, j, None] * e[:, :j + 1]
+    signed = e[:, 1:] * (-1.0) ** np.arange(m)     # (-1)^(i-1) e_i
+    h = np.zeros((points, top + 1), dtype=np.complex128)
+    h[:, 0] = 1
+    for r in range(1, top + 1):
+        i = min(r, m)
+        h[:, r] = (signed[:, :i] * h[:, r - 1::-1][:, :i]).sum(axis=1)
+    return h
 
 
 def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
     """The binomial(n, k) points of the spectrum, in closed form.
 
     Points are the l-subsets S of range(n) in itertools.combinations
-    order.  Characters are bialternants over x_S, one diagram at a
-    time over all points.  Each point's residual is the larger of
-    |X_S(unit) - 1| and max_r |X_S P_r - X_S((r)) X_S|, with P_r the
-    quantum Pieri matrix of the row class (r): as the row classes
-    generate the ring, a residual of zero makes X_S a ring character.
-    Raises DegenerateSpectrum when the worst residual exceeds
-    residual_tol.
+    order.  As h_r(x_S) = (-1)^r e_r(x_C) for r < n, with C the
+    complement of S, s_lam(x_S) = (-1)^|lam| s_lam'(x_C).  Values are
+    Jacobi-Trudi determinants det(h_(mu_i - i + j)) over the smaller of
+    S and C, min(k, l) square, one diagram at a time over all points.
+    Each point's residual is the larger of |X_S(unit) - 1| and
+    max_r |X_S P_r - X_S((r)) X_S| / |X_S|, with P_r the quantum Pieri
+    matrix of the row class (r): the residual of X_S as a unit left
+    eigenvector of every P_r.  As the row classes generate the ring, a
+    residual of zero makes X_S a ring character.
+    Raises DegenerateSpectrum when the worst residual is not within
+    residual_tol (NaN included), or when two points agree within
+    SEPARATION_TOL on min(k, l) generating classes.
     """
-    dim, l = ctx.dim, ctx.l
-    subsets = np.array(list(combinations(range(ctx.n), l)), dtype=np.intp)
-    powers = _root_powers(ctx)
-    shift = np.arange(l - 1, -1, -1)     # l - j for j = 1..l
-
-    def alternant(exponents):
-        return np.linalg.det(powers[subsets[:, :, None], exponents])
-
-    vandermonde = alternant(shift)
+    k, l, n, dim = ctx.k, ctx.l, ctx.n, ctx.dim
+    subsets = list(combinations(range(n), l))
+    on_complement = k <= l
+    side = ([sorted(set(range(n)).difference(s)) for s in subsets]
+            if on_complement else subsets)
+    # reduce the angle mod 2 pi in integers before scaling by pi / n
+    turns = (2 * np.array(side, dtype=np.int64) + l - 1) % (2 * n)
+    h = _complete(np.exp(1j * np.pi / n * turns), n - 1)
+    h = np.concatenate([h, np.zeros((len(subsets), 1))], axis=1)
+    m = min(k, l)
+    steps = np.arange(m)[None, :] - np.arange(m)[:, None]    # j - i
     chars = np.empty((len(subsets), dim), dtype=np.complex128)
     for rank, lam in enumerate(ctx.basis):
-        chars[:, rank] = alternant(np.add(lam, shift)) / vandermonde
+        # mu is lam over S, its transpose (k parts) over C
+        mu = [sum(p > i for p in lam) for i in range(k)] \
+            if on_complement else lam
+        idx = np.array(mu)[:, None] + steps
+        idx[idx < 0] = n                   # column n holds h_(<0) = 0
+        value = np.linalg.det(h[:, idx])
+        flip = on_complement and degree(lam) % 2
+        chars[:, rank] = -value if flip else value
 
     residual = np.abs(chars[:, 0] - 1)
-    row_ranks = [ctx.rank((r,) + (0,) * (l - 1)) for r in range(1, ctx.k + 1)]
+    norms = np.linalg.norm(chars, axis=1)
+    row_ranks = [ctx.rank((r,) + (0,) * (l - 1)) for r in range(1, k + 1)]
+    padded = np.concatenate([chars, np.zeros((len(subsets), 1))], axis=1)
     for r, rank in enumerate(row_ranks, start=1):
-        pieri = np.zeros((dim, dim))
-        for j in range(dim):
-            pieri[list(_pieri_row(ctx, r, j)), j] = 1.0
-        dev = np.linalg.norm(chars @ pieri - chars[:, rank, None] * chars,
-                             axis=1)
-        residual = np.maximum(residual, dev)
+        rows = [_pieri_row(ctx, r, j) for j in range(dim)]
+        # slot s of column j is the s-th rank of its Pieri row, else dim
+        slots = np.full((max(map(len, rows)), dim), dim)
+        for j, row in enumerate(rows):
+            slots[:len(row), j] = row
+        image = sum(padded[:, slot] for slot in slots)       # X_S P_r
+        dev = np.linalg.norm(image - chars[:, rank, None] * chars, axis=1)
+        residual = np.maximum(residual, dev / norms)
     worst = float(residual.max())
-    if worst > residual_tol:
+    if not worst <= residual_tol:
         raise DegenerateSpectrum(
             f"closed-form characters of {ctx} fail the Pieri certificate: "
             f"residual {worst:.3e} above {residual_tol:.3e}")
+    # the values of m generating classes determine a character
+    gens = (row_ranks if on_complement else
+            [ctx.rank((1,) * r + (0,) * (l - r)) for r in range(1, l + 1)])
+    keys = chars[:, gens]
+    gap = min((float(np.abs(keys[i + 1:] - keys[i]).max(axis=1).min())
+               for i in range(len(keys) - 1)), default=np.inf)
+    if not gap > SEPARATION_TOL:
+        raise DegenerateSpectrum(
+            f"two points of {ctx} agree within {SEPARATION_TOL:.0e}")
     chars.flags.writeable = False
     points = tuple(
-        SpectralPoint(i, tuple(s), chars[i],
-                      tuple(complex(z) for z in chars[i, row_ranks]),
+        SpectralPoint(i, s, tuple(complex(z) for z in chars[i, row_ranks]),
                       float(residual[i]))
-        for i, s in enumerate(subsets.tolist()))
+        for i, s in enumerate(subsets))
     return SpectralData(ctx, residual_tol, chars, points)
 
 
@@ -173,7 +212,7 @@ def conjugation_point_permutation(spectral, tol=CONJUGATION_TOL):
                                for j in p.subset))]
             for p in spectral.points]
     coords = np.array([p.coords for p in spectral.points])
-    if np.abs(coords[perm] - coords.conj()).max(initial=0.0) > tol:
+    if not np.abs(coords[perm] - coords.conj()).max(initial=0.0) <= tol:
         return None
     return perm
 
@@ -187,7 +226,7 @@ def verify_conjugation(ctx, tol=CONJUGATION_TOL, spectral=None):
     dev = np.abs(chars[:, bar_rank] - chars.conj())
     failures = [{"point": p, "lam": list(trim(ctx.basis[rank])),
                  "deviation": float(dev[p, rank])}
-                for p, rank in np.argwhere(dev > tol).tolist()]
+                for p, rank in np.argwhere(~(dev <= tol)).tolist()]
     failures.sort(key=lambda f: (f["point"], f["lam"]))
     return VerifyReport("conjugation", ctx.k, ctx.n, dev.size, failures,
                         extra={"max_deviation": float(dev.max(initial=0.0))})
@@ -225,12 +264,12 @@ def _positivity_issues(c, bar_rank, spectral, table, tol):
         issues.append("matrix not symmetric")
     else:
         eigmin = float(np.linalg.eigvalsh(mat.astype(np.float64)).min())
-        if eigmin < -tol:
+        if not eigmin >= -tol:
             issues.append(f"minimum eigenvalue {eigmin:.3e}")
     values = evaluate(prod, spectral)
-    if np.abs(values.imag).max(initial=0.0) > tol:
+    if not np.abs(values.imag).max(initial=0.0) <= tol:
         issues.append("values not real")
-    if values.real.min(initial=0.0) < -tol:
+    if not values.real.min(initial=0.0) >= -tol:
         issues.append("negative value")
     return issues
 
@@ -262,7 +301,10 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
 
 
 def verify_vanishing(ctx, classes=None, tol=1e-7, spectral=None):
-    """C vanishes at a point exactly when bar(C) does, within tol."""
+    """C vanishes at a point exactly when bar(C) does, within tol.
+
+    A value that is not finite fails at its point.
+    """
     if spectral is None:
         spectral = joint_eigenbasis(ctx)
     if classes is None:
@@ -274,13 +316,14 @@ def verify_vanishing(ctx, classes=None, tol=1e-7, spectral=None):
     for i, c in enumerate(classes):
         values = chars @ _coeff_vector(c, np.float64)
         bar_values = chars @ _bar_vector(c, bar_rank, np.float64)
-        for p in range(len(spectral.points)):
-            checked += 1
-            if (abs(values[p]) < tol) != (abs(bar_values[p]) < tol):
-                failures.append({"class_index": i, "point": p,
-                                 "value": [values[p].real, values[p].imag],
-                                 "bar_value": [bar_values[p].real,
-                                               bar_values[p].imag]})
+        bad = ((np.abs(values) < tol) != (np.abs(bar_values) < tol)) \
+            | ~np.isfinite(values) | ~np.isfinite(bar_values)
+        checked += len(values)
+        for p in np.flatnonzero(bad).tolist():
+            failures.append({"class_index": i, "point": p,
+                             "value": [values[p].real, values[p].imag],
+                             "bar_value": [bar_values[p].real,
+                                           bar_values[p].imag]})
     return VerifyReport("vanishing", ctx.k, ctx.n, checked, failures)
 
 
@@ -295,12 +338,12 @@ def random_integer_classes(ctx, count, seed=DEFAULT_SEED, bound=5):
 def spectrum_json_dict(spectral):
     """The documented JSON form of a spectrum."""
     ctx = spectral.ctx
+    chars = spectral.character_matrix()
     doc = {"k": ctx.k, "n": ctx.n,
            "points": [{"coords": [[z.real, z.imag] for z in p.coords],
                        "residual": p.residual}
                       for p in spectral.points],
            "characters": {format_partition(lam):
-                          [[p.characters[rank].real, p.characters[rank].imag]
-                           for p in spectral.points]
+                          [[z.real, z.imag] for z in chars[:, rank].tolist()]
                           for rank, lam in enumerate(ctx.basis)}}
     return doc

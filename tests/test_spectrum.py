@@ -148,8 +148,8 @@ class TestJointEigenbasis:
 
     def test_unit_character_is_one(self, spectral_of):
         for k, n in [(2, 4), (3, 6)]:
-            for p in spectral_of(k, n).points:
-                assert abs(p.characters[0] - 1) < 1e-10
+            chars = spectral_of(k, n).character_matrix()
+            assert np.abs(chars[:, 0] - 1).max() < 1e-10
 
     def test_characters_multiplicative(self, ctx_of, table_of, spectral_of):
         for k, n in all_contexts(6):
@@ -176,10 +176,7 @@ class TestJointEigenbasis:
             assert [p.subset for p in sd.points] == \
                 list(itertools.combinations(range(n), n - k))
             assert [p.index for p in sd.points] == list(range(comb(n, k)))
-            chars = sd.character_matrix()
-            assert not chars.flags.writeable
-            for p in sd.points:
-                assert np.array_equal(p.characters, chars[p.index])
+            assert not sd.character_matrix().flags.writeable
 
     def test_coords_match_generator_eigenvalues(self, ctx_of, table_of,
                                                 spectral_of):
@@ -207,6 +204,41 @@ class TestJointEigenbasis:
         monkeypatch.setattr(spectrum, "_pieri_row", corrupted)
         with pytest.raises(DegenerateSpectrum, match="Pieri certificate"):
             joint_eigenbasis(ctx_of(2, 4))
+
+    def test_nan_character_raises(self, ctx_of, monkeypatch):
+        complete = spectrum._complete
+
+        def poisoned(x, top):
+            h = complete(x, top)
+            h[2, 1] = np.nan
+            return h
+
+        monkeypatch.setattr(spectrum, "_complete", poisoned)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DegenerateSpectrum, match="Pieri certificate"):
+            joint_eigenbasis(ctx_of(2, 5))
+
+    def test_coincident_points_raise(self, ctx_of, monkeypatch):
+        # point 1 repeats point 0: each row is a certified character,
+        # but the rows do not make up the spectrum
+        subsets = spectrum.combinations
+
+        def repeated(items, size):
+            out = list(subsets(items, size))
+            return out[:1] + out[:1] + out[2:]
+
+        monkeypatch.setattr(spectrum, "combinations", repeated)
+        for k, n in [(2, 5), (3, 5)]:
+            with pytest.raises(DegenerateSpectrum, match="agree"):
+                joint_eigenbasis(ctx_of(k, n))
+
+    def test_large_projective_space(self):
+        # the closed form stays finite where a Vandermonde of n - 1
+        # roots overflows float64 (modulus n^(n/2 - 1), from n = 258)
+        sd = joint_eigenbasis(GrassmannContext(1, 300))
+        assert np.isfinite(sd.character_matrix()).all()
+        assert max(p.residual for p in sd.points) <= 1e-8
+        assert verify_point_conjugation(sd.ctx, spectral=sd).ok
 
 
 class TestEvaluate:
@@ -261,13 +293,14 @@ class TestConjugation:
     def test_points_map_to_conjugate_subsets(self, spectral_of):
         for k, n in all_contexts(7):
             sd = spectral_of(k, n)
+            chars = sd.character_matrix()
             perm = conjugation_point_permutation(sd)
             for p in sd.points:
                 image = sd.points[perm[p.index]]
                 # conj(x_j) = x_{-j-(l-1) mod n} on the roots
                 assert sorted((-j - (n - k - 1)) % n for j in p.subset) == \
                     list(image.subset)
-                assert np.abs(np.conj(p.characters) - image.characters) \
+                assert np.abs(np.conj(chars[p.index]) - chars[image.index]) \
                     .max() <= 1e-9
 
     def test_perturbed_characters_are_reported(self, ctx_of, spectral_of):
@@ -283,6 +316,27 @@ class TestConjugation:
         assert all(abs(f["deviation"] - 1e-3) < 1e-9
                    for f in report.failures)
         assert abs(report.extra["max_deviation"] - 1e-3) < 1e-9
+
+    def test_nan_values_fail_every_suite(self, ctx_of, table_of,
+                                         spectral_of):
+        ctx, sd = ctx_of(2, 4), spectral_of(2, 4)
+        chars = sd.character_matrix().copy()
+        chars[4, ctx.rank((2, 0))] = np.nan
+        p = sd.points[4]
+        nan_point = dataclasses.replace(p, coords=(np.nan,) + p.coords[1:])
+        bad = dataclasses.replace(
+            sd, characters=chars,
+            points=sd.points[:4] + (nan_point,) + sd.points[5:])
+        assert conjugation_point_permutation(bad) is None
+        assert not verify_conjugation(ctx, spectral=bad).ok
+        assert not verify_point_conjugation(ctx, spectral=bad).ok
+        s2 = basis_class(ctx, (2, 0))
+        vanishing = verify_vanishing(ctx, [s2], spectral=bad)
+        assert [f["point"] for f in vanishing.failures] == [4]
+        positivity = verify_positivity(ctx, [s2], spectral=bad,
+                                       table=table_of(2, 4))
+        assert [f["issues"] for f in positivity.failures] == \
+            [["values not real", "negative value"]]
 
     def test_perturbed_point_fails(self, ctx_of, spectral_of):
         sd = spectral_of(2, 5)
