@@ -2,14 +2,13 @@
 
 Cohomology classes are finitely supported integer combinations of
 basis diagrams, stored sparsely by rank.  The cup product is computed
-from Littlewood-Richardson coefficients by direct tableau counting and
-truncated to the box; this is the independent classical oracle against
-which the degree-preserving part of the quantum product is checked.
+from Littlewood-Richardson coefficients by direct tableau counting, one
+enumeration per skew shape for all contents at once, and truncated to
+the box; this is the independent classical oracle against which the
+degree-preserving part of the quantum product is checked.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .partitions import degree, poincare_dual, trim
 
@@ -182,27 +181,33 @@ def _contains(nu, lam):
                for i in range(len(lam)))
 
 
-@lru_cache(maxsize=None)
-def _lr_count(lam, mu, nu):
-    # Count column-strict fillings of nu/lam with content mu whose
-    # reverse reading word (rows right-to-left, top to bottom) is a
-    # lattice word.  Cells are filled in reading order so the lattice
-    # and row conditions prune immediately.
+def _lr_count(lam, nu, bound=None):
+    """Littlewood-Richardson fillings of the skew shape nu/lam, by content.
+
+    Counts column-strict fillings whose reverse reading word (rows
+    right-to-left, top to bottom) is a lattice word, and returns a dict
+    from content (a trimmed partition) to number of fillings.  With a
+    partition bound, value v is used at most bound[v - 1] times, so a
+    bound with |nu| - |lam| boxes keeps exactly the fillings of that
+    content.  Cells are filled in reading order so the lattice, row and
+    content conditions prune immediately.
+    """
     rows = len(nu)
     lam = lam + (0,) * (rows - len(lam))
-    m = len(mu)
     cells = []
     for i in range(rows):
         for col in range(nu[i] - 1, lam[i] - 1, -1):
             cells.append((i, col))
+    caps = bound if bound is not None else (len(cells),) * rows
+    m = len(caps)
     grid = [[0] * nu[i] for i in range(rows)]
     counts = [0] * (m + 1)
-    total = 0
+    out = {}
 
     def fill(pos):
-        nonlocal total
         if pos == len(cells):
-            total += 1
+            content = trim(counts[1:])
+            out[content] = out.get(content, 0) + 1
             return
         i, col = cells[pos]
         hi = m
@@ -210,7 +215,7 @@ def _lr_count(lam, mu, nu):
             hi = min(hi, grid[i][col + 1])  # weakly increasing along rows
         above = grid[i - 1][col] if i > 0 and col < nu[i - 1] and col >= lam[i - 1] else 0
         for v in range(above + 1, hi + 1):  # strictly increasing down columns
-            if counts[v] >= mu[v - 1]:
+            if counts[v] >= caps[v - 1]:
                 continue
             if v > 1 and counts[v] >= counts[v - 1]:
                 continue  # lattice word prefix condition
@@ -221,7 +226,7 @@ def _lr_count(lam, mu, nu):
             counts[v] -= 1
 
     fill(0)
-    return total
+    return out
 
 
 def lr_coefficient(lam, mu, nu):
@@ -241,31 +246,49 @@ def lr_coefficient(lam, mu, nu):
         return 0
     if not mu:
         return 1
-    return _lr_count(lam, mu, nu)
+    return _lr_count(lam, nu, bound=mu).get(mu, 0)
 
 
+# per-(k, n) memo of cup rows, keyed by rank; pure data, so the cache
+# is observationally transparent
 _CUP_CACHE = {}
 
 
-def _cup_basis(ctx, ra, rb):
-    key = (ctx.k, ctx.n)
-    cache = _CUP_CACHE.setdefault(key, {})
-    pair = (ra, rb) if ra <= rb else (rb, ra)
-    hit = cache.get(pair)
+def _cup_rows(ctx, ra):
+    """Cup products of basis[ra] with the diagrams of rank ra and above.
+
+    The products with lower ranks are the rows of those ranks, as the
+    cup product is commutative.  Each skew shape nu/lam, lam = basis[ra]
+    and nu a diagram of the box with at least twice its degree, has its
+    Littlewood-Richardson fillings enumerated once; a filling of content
+    mu adds 1 to the coefficient of nu in lam * mu.  Returns a dict from
+    the rank of mu to the product's (rank, coefficient) pairs, sorted by
+    rank; products that vanish in the box are absent.
+    """
+    cache = _CUP_CACHE.setdefault((ctx.k, ctx.n), {})
+    hit = cache.get(ra)
     if hit is not None:
         return hit
-    lam, mu = ctx.basis[pair[0]], ctx.basis[pair[1]]
-    target = degree(lam) + degree(mu)
-    items = []
-    if target <= ctx.top_degree:
-        tl, tm = trim(lam), trim(mu)
-        for nr in ctx.ranks_by_degree[target]:
-            c = lr_coefficient(tl, tm, trim(ctx.basis[nr]))
-            if c:
-                items.append((nr, c))
-    items = tuple(items)
-    cache[pair] = items
-    return items
+    lam = ctx.basis[ra]
+    pad = (0,) * ctx.l
+    rows = {}
+    # mu of rank >= ra has degree >= deg lam, so deg nu >= 2 deg lam
+    low = 2 * degree(lam)
+    first = ctx.ranks_by_degree[low][0] if low <= ctx.top_degree else ctx.dim
+    for nr in range(first, ctx.dim):
+        nu = ctx.basis[nr]
+        if all(p >= q for p, q in zip(nu, lam)):
+            for mu, c in _lr_count(trim(lam), trim(nu)).items():
+                rank = ctx.rank((mu + pad)[:ctx.l])
+                if rank >= ra:
+                    rows.setdefault(rank, []).append((nr, c))
+    hit = cache[ra] = {mu: tuple(items) for mu, items in rows.items()}
+    return hit
+
+
+def _cup_basis(ctx, ra, rb):
+    """Cup product of two basis diagrams: (rank, coefficient) pairs."""
+    return _cup_rows(ctx, min(ra, rb)).get(max(ra, rb), ())
 
 
 def cup_product(a, b):

@@ -44,13 +44,22 @@ def trim(lam):
     return tuple(lam[:m])
 
 
-def _box_partitions(k, l, cap):
-    if l == 0:
-        yield ()
-        return
-    for first in range(min(k, cap), -1, -1):
-        for rest in _box_partitions(k, l - 1, first):
-            yield (first,) + rest
+def _box_partitions(k, l):
+    """Diagrams in the l x k box, in descending lexicographic order.
+
+    Iterative, so the number of rows is not bounded by the recursion
+    limit: each diagram's successor lowers its last nonzero part by one
+    and raises every part after it to that value.
+    """
+    lam = [k] * l
+    while True:
+        yield tuple(lam)
+        i = l - 1
+        while i >= 0 and lam[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        lam[i:] = [lam[i] - 1] * (l - i)
 
 
 def enumerate_box_partitions(k, l):
@@ -59,7 +68,7 @@ def enumerate_box_partitions(k, l):
     The order is graded: ascending total degree, ties broken by
     lexicographically larger parts first, so (2,0) precedes (1,1).
     """
-    out = list(_box_partitions(k, l, k))
+    out = list(_box_partitions(k, l))
     out.sort(key=lambda lam: (sum(lam), tuple(-p for p in lam)))
     return out
 

@@ -33,9 +33,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .classical import (CohomClass, _same_ctx, basis_class, classical_pieri,
-                        column_class, cup_product, pairing, relabel,
-                        terms_json, unit_class)
+from .classical import (CohomClass, _cup_rows, _same_ctx, basis_class,
+                        classical_pieri, column_class, cup_product, pairing,
+                        relabel, terms_json, unit_class)
 from .partitions import c_shift, degree, nonzero_rows, poincare_dual, trim
 from .reports import VerifyReport
 
@@ -116,12 +116,16 @@ def giambelli_expand(lam, k):
     if m == 0:
         return [(1, ())]
     acc = {}
-
-    def expand(i, used, sign, factors):
+    # depth first over the partial permutations, on a stack: a closure
+    # that calls itself is a reference cycle, freed only by the cyclic
+    # collector
+    stack = [(0, 0, 1, [])]
+    while stack:
+        i, used, sign, factors = stack.pop()
         if i == m:
             key = tuple(sorted(factors, reverse=True))
             acc[key] = acc.get(key, 0) + sign
-            return
+            continue
         for j in range(m):
             if used >> j & 1:
                 continue
@@ -132,9 +136,9 @@ def giambelli_expand(lam, k):
                 break  # entries grow with j, the rest of the row vanishes
             flips = (used >> (j + 1)).bit_count()
             nxt = factors + [e] if e else factors
-            expand(i + 1, used | (1 << j), -sign if flips & 1 else sign, nxt)
+            stack.append((i + 1, used | (1 << j),
+                          -sign if flips & 1 else sign, nxt))
 
-    expand(0, 0, 1, [])
     return sorted(((c, rows_key) for rows_key, c in acc.items() if c != 0),
                   key=lambda item: item[1], reverse=True)
 
@@ -243,16 +247,19 @@ class StructureTable:
     Unordered rank pairs ra <= rb are numbered row by row, in the order
     of numpy.triu_indices(dim).  The product of pair p has the terms
     targets[indptr[p]:indptr[p + 1]] (ranks, increasing) with the
-    coefficients at the same positions of coeffs.
+    coefficients at the same positions of coeffs.  The arrays are not
+    to be modified: the ordered-pair index built from them on first use
+    is kept.
     """
 
-    __slots__ = ("ctx", "indptr", "targets", "coeffs")
+    __slots__ = ("ctx", "indptr", "targets", "coeffs", "_ordered")
 
     def __init__(self, ctx, indptr, targets, coeffs):
         self.ctx = ctx
         self.indptr = indptr
         self.targets = targets
         self.coeffs = coeffs
+        self._ordered = None
 
     def product_ranks(self, ra, rb):
         """(rank, coefficient) pairs of basis[ra] * basis[rb], by rank."""
@@ -266,25 +273,33 @@ class StructureTable:
         return tuple(zip(self.targets[lo:hi].tolist(),
                          self.coeffs[lo:hi].tolist()))
 
-    def pair_terms(self, ranks):
-        """Every term of basis[r] * basis[j], r in ranks and j any rank.
+    def _ordered_index(self):
+        """Every term of every ordered pair, grouped by the first factor.
 
-        ranks is an integer array of ranks.  Returns flat arrays
-        (which, col, target, coeff): entry i is the term
-        coeff[i] * basis[target[i]] of basis[ranks[which[i]]] *
-        basis[col[i]].
+        Returns (ptr, key, coeff): the terms of basis[r] * basis[j], j
+        any rank, sit at positions ptr[r]:ptr[r + 1], the term
+        coeff[i] * basis[t] of column j stored with key[i] = t * dim + j.
+        Built on first use and kept, so a table that only answers
+        product_ranks never pays for it.
         """
         import numpy as np
-        dim = self.ctx.dim
-        r = np.repeat(ranks, dim)
-        j = np.tile(np.arange(dim), len(ranks))
-        p = _pair_index(dim, np.minimum(r, j), np.maximum(r, j))
-        lo = self.indptr[p]
-        width = self.indptr[p + 1] - lo
-        pos = _flat_ranges(lo, width)
-        which = np.repeat(np.arange(len(ranks)), dim)
-        return (np.repeat(which, width), np.repeat(j, width),
-                self.targets[pos], self.coeffs[pos])
+        if self._ordered is None:
+            dim = self.ctx.dim
+            first = np.repeat(np.arange(dim), dim)
+            col = np.tile(np.arange(dim), dim)
+            p = _pair_index(dim, np.minimum(first, col),
+                            np.maximum(first, col))
+            lo = self.indptr[p]
+            width = self.indptr[p + 1] - lo
+            pos = _flat_ranges(lo, width)
+            ptr = np.zeros(dim + 1, dtype=np.int64)
+            np.cumsum(width.reshape(dim, dim).sum(axis=1), out=ptr[1:])
+            key_type = np.int32 if dim * dim <= 2 ** 31 else np.int64
+            key = (self.targets[pos] * dim
+                   + np.repeat(col, width)).astype(key_type, copy=False)
+            self._ordered = (ptr, key,
+                             self.coeffs[pos].astype(np.int32, copy=False))
+        return self._ordered
 
     def matrix(self, vec):
         """Integer matrix of multiplication by a class, given by rank.
@@ -295,18 +310,28 @@ class StructureTable:
         """
         import numpy as np
         dim = self.ctx.dim
+        ptr, key, coeff = self._ordered_index()
         ranks = np.flatnonzero(vec)
-        which, col, target, coeff = self.pair_terms(ranks)
+        width = ptr[ranks + 1] - ptr[ranks]
         mat = np.zeros(dim * dim, dtype=np.int64)
-        np.add.at(mat, target * dim + col, vec[ranks][which] * coeff)
+        if 2 * width.sum() > len(key):
+            # most terms are needed: gathering them costs more than
+            # taking all, where the terms of zero ranks add 0
+            np.add.at(mat, key, np.repeat(vec, np.diff(ptr)) * coeff)
+        else:
+            pos = _flat_ranges(ptr[ranks], width)
+            np.add.at(mat, key[pos], np.repeat(vec[ranks], width) * coeff[pos])
         return mat.reshape(dim, dim)
 
     def basis_matrix(self, rank):
         """Integer matrix of multiplication by basis[rank]."""
         import numpy as np
-        vec = np.zeros(self.ctx.dim, dtype=np.int64)
-        vec[rank] = 1
-        return self.matrix(vec)
+        dim = self.ctx.dim
+        ptr, key, coeff = self._ordered_index()
+        seg = slice(ptr[rank], ptr[rank + 1])
+        mat = np.zeros(dim * dim, dtype=np.int64)
+        mat[key[seg]] = coeff[seg]    # one term per (target, column)
+        return mat.reshape(dim, dim)
 
     def __eq__(self, other):
         import numpy as np
@@ -466,12 +491,17 @@ def _giambelli_matrices(ctx):
     apply = _pieri_apply(ctx)
     memo = {(): (np.eye(ctx.dim, dtype=np.int64), 1)}
 
+    # not recursive: a closure that calls itself is a reference cycle,
+    # which would keep the memo alive until the cyclic collector runs;
+    # each missing prefix is built from the longest memoized one
     def monomial(rows):
-        hit = memo.get(rows)
-        if hit is None:
-            mat = apply(rows[-1], monomial(rows[:-1])[0])
-            hit = memo[rows] = (mat, int(np.abs(mat).max()))
-        return hit
+        short = len(rows)
+        while rows[:short] not in memo:
+            short -= 1
+        for end in range(short + 1, len(rows) + 1):
+            mat = apply(rows[end - 1], memo[rows[:end - 1]][0])
+            memo[rows[:end]] = (mat, int(np.abs(mat).max()))
+        return memo[rows]
 
     for rank, lam in enumerate(ctx.basis):
         terms = [(coeff, monomial(rows))
@@ -553,30 +583,45 @@ def verify_grading(ctx, table=None):
     Each term of S_lam * S_mu must have degree congruent to
     deg lam + deg mu mod n and no larger; the sub-sum of terms of full
     degree must equal the cup product computed by tableau counting.
+    Runs one diagram lam at a time over the columns mu >= lam of its
+    multiplication matrix M_lam: a nonzero entry fails where the degree
+    gap deg lam + deg mu - deg t is negative or off a multiple of n, and
+    the entries of gap 0 must equal the cup matrix of lam, read off the
+    batched Littlewood-Richardson rows (classical._cup_rows).  Pairs
+    that fail are recomputed as classes, to write their failure
+    records.  Without a table, one is built.
     """
+    import numpy as np
+    if table is None:
+        table = build_table(ctx)
+    deg = np.array([degree(lam) for lam in ctx.basis])
     failures = []
-    checked = 0
     for ra in range(ctx.dim):
-        a = basis_class(ctx, ctx.basis[ra])
-        for rb in range(ra, ctx.dim):
+        mat = table.basis_matrix(ra)[:, ra:]
+        gap = deg[ra] + deg[None, ra:] - deg[:, None]
+        cup = np.zeros_like(mat)
+        for rb, items in _cup_rows(ctx, ra).items():
+            for t, c in items:
+                cup[t, rb - ra] = c
+        bad = ((mat != 0) & ((gap < 0) | (gap % ctx.n != 0))) \
+            | (np.where(gap == 0, mat, 0) != cup)
+        for rb in (ra + np.flatnonzero(bad.any(axis=0))).tolist():
+            a = basis_class(ctx, ctx.basis[ra])
             b = basis_class(ctx, ctx.basis[rb])
-            checked += 1
             total = degree(ctx.basis[ra]) + degree(ctx.basis[rb])
             prod = quantum_product(a, b, table=table)
             bad_degree = [rank for rank in prod.terms
                           if degree(ctx.basis[rank]) > total
                           or (total - degree(ctx.basis[rank])) % ctx.n]
-            classical = cup_product(a, b)
-            top = prod.homogeneous_part(total)
-            if bad_degree or top != classical:
-                failures.append({"pair": [list(trim(ctx.basis[ra])),
-                                          list(trim(ctx.basis[rb]))],
-                                 "bad_degree": [list(trim(ctx.basis[r]))
-                                                for r in sorted(bad_degree)],
-                                 "top": terms_json(top),
-                                 "cup": terms_json(classical)})
+            failures.append({"pair": [list(trim(ctx.basis[ra])),
+                                      list(trim(ctx.basis[rb]))],
+                             "bad_degree": [list(trim(ctx.basis[r]))
+                                            for r in sorted(bad_degree)],
+                             "top": terms_json(prod.homogeneous_part(total)),
+                             "cup": terms_json(cup_product(a, b))})
     failures.sort(key=lambda f: f["pair"])
-    return VerifyReport("grading", ctx.k, ctx.n, checked, failures)
+    return VerifyReport("grading", ctx.k, ctx.n,
+                        ctx.dim * (ctx.dim + 1) // 2, failures)
 
 
 def verify_pieri_consistency(ctx):

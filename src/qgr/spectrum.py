@@ -251,7 +251,7 @@ def _bar_vector(c, bar_rank, dtype=np.int64):
     return vec
 
 
-def _positivity_issues(c, bar_rank, spectral, table, tol):
+def _positivity_issues(c, bar_rank, spectral, magnitudes, table, tol):
     m_c = mult_matrix(c, table=table)
     v = _bar_vector(c, bar_rank)
     # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
@@ -263,13 +263,17 @@ def _positivity_issues(c, bar_rank, spectral, table, tol):
     if not np.array_equal(mat, mat.T):
         issues.append("matrix not symmetric")
     else:
-        eigmin = float(np.linalg.eigvalsh(mat.astype(np.float64)).min())
-        if not eigmin >= -tol:
+        eig = np.linalg.eigvalsh(mat.astype(np.float64))
+        eigmin = float(eig.min())
+        if not eigmin >= -tol * max(1.0, float(np.abs(eig).max())):
             issues.append(f"minimum eigenvalue {eigmin:.3e}")
     values = evaluate(prod, spectral)
-    if not np.abs(values.imag).max(initial=0.0) <= tol:
+    # the rounding scale of each value's dot product
+    bound = tol * np.maximum(1.0, magnitudes
+                             @ np.abs(_coeff_vector(prod, np.float64)))
+    if not (np.abs(values.imag) <= bound).all():
         issues.append("values not real")
-    if not values.real.min(initial=0.0) >= -tol:
+    if not (-values.real <= bound).all():
         issues.append("negative value")
     return issues
 
@@ -279,10 +283,13 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
     """Symmetry and semipositivity of multiplication by C * bar(C).
 
     Checks, for each class C: exact integer symmetry of the matrix,
-    eigenvalues bounded below by -tol, and point values real within
-    tol and at least -tol.  The product's coordinates are M_C applied
-    to the coordinates of bar(C), and its matrix is built from them,
-    so no step assumes associativity.
+    eigenvalues at least -tol * max(1, largest |eigenvalue|), and point
+    values with imaginary part at most, and real part at least minus,
+    tol * max(1, sum_t |X[S, t]| |v_t|), the rounding scale of the value
+    sum_t X[S, t] v_t of the product v at the point S.  NaN fails every
+    gate.  The product's coordinates are M_C applied to the coordinates
+    of bar(C), and its matrix is built from them, so no step assumes
+    associativity.
     """
     if table is None:
         table = build_table(ctx)
@@ -291,9 +298,11 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
+    magnitudes = np.abs(spectral.character_matrix())
     failures = []
     for i, c in enumerate(classes):
-        issues = _positivity_issues(c, bar_rank, spectral, table, tol)
+        issues = _positivity_issues(c, bar_rank, spectral, magnitudes,
+                                    table, tol)
         if issues:
             failures.append({"class_index": i, "terms": terms_json(c),
                              "issues": issues})

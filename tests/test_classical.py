@@ -4,10 +4,11 @@ from functools import partial
 
 import pytest
 
-from qgr.classical import (CohomClass, basis_class, class_from_parts,
-                           classical_pieri, column_class, cup_product,
-                           lr_coefficient, pairing, point_class, rank_map,
-                           relabel, row_class, unit_class, zero_class)
+from qgr.classical import (CohomClass, _cup_rows, basis_class,
+                           class_from_parts, classical_pieri, column_class,
+                           cup_product, lr_coefficient, pairing, point_class,
+                           rank_map, relabel, row_class, unit_class,
+                           zero_class)
 from qgr.partitions import (GrassmannContext, bar_involution, c_shift,
                             degree, poincare_dual, trim)
 
@@ -235,6 +236,26 @@ class TestCupProduct:
                     classes, 3):
                 assert cup_product(cup_product(a, b), c) == \
                     cup_product(a, cup_product(b, c))
+
+
+    def test_batched_rows_match_lr_coefficient(self, ctx_of):
+        # one enumeration per skew shape nu/lam against one tableau count
+        # per triple; triples off the degree sum are 0 on both sides
+        for k, n in all_contexts(8):
+            ctx = ctx_of(k, n)
+            for ra, lam in enumerate(ctx.basis):
+                rows = _cup_rows(ctx, ra)
+                assert min(rows, default=ra) >= ra
+                for rb in range(ra, ctx.dim):
+                    mu = ctx.basis[rb]
+                    target = degree(lam) + degree(mu)
+                    nus = ctx.ranks_by_degree[target] \
+                        if target <= ctx.top_degree else ()
+                    expected = {nr: lr_coefficient(lam, mu, ctx.basis[nr])
+                                for nr in nus}
+                    assert dict(rows.get(rb, ())) == \
+                        {nr: c for nr, c in expected.items() if c}, \
+                        (k, n, lam, mu)
 
 
 class TestClassicalPieri:

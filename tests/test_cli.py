@@ -28,6 +28,11 @@ class TestMul:
                            "--a", "", "--b", "2,1")
         assert code == 0 and out.strip() == "(2,1)"
 
+    def test_many_rows(self, capsys):
+        code, out, _ = run(capsys, "mul", "--k", "1", "--n", "1000",
+                           "--a", "1", "--b", "1")
+        assert code == 0 and out.strip() == "(1,1)"
+
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "mul", "--k", "2", "--n", "4",
                            "--a", "1", "--b", "1", "--output", "json")

@@ -44,6 +44,13 @@ def test_basis_count_is_binomial(k, n):
     assert all(ctx.rank(lam) == i for i, lam in enumerate(ctx.basis))
 
 
+def test_many_rows_need_no_recursion():
+    # one diagram per row count: l = 999 rows of at most one box
+    ctx = GrassmannContext(1, 1000)
+    assert ctx.dim == 1000
+    assert ctx.basis[1] == (1,) + (0,) * 998
+
+
 def test_context_rejects_bad_dimensions():
     for k, n in [(0, 4), (4, 4), (5, 3), (-1, 2)]:
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qgr import quantum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
-                           classical_pieri, column_class, point_class,
-                           row_class, terms_json, unit_class, zero_class)
+                           classical_pieri, column_class, lr_coefficient,
+                           point_class, row_class, terms_json, unit_class,
+                           zero_class)
 from qgr.partitions import GrassmannContext, degree, trim
 from qgr.quantum import (GWRecord, StructureTable, _basis_product,
                          _giambelli_matrices, _product_via_giambelli,
@@ -237,6 +240,102 @@ class TestCommutativityFailureRecords:
                              ("lhs", "pair", "rhs")}, (k, n)
             assert report.failures == expected, (k, n)
             assert report.checked == ctx.dim * (ctx.dim + 1) // 2
+
+
+class TestCommutativityMemory:
+    def test_giambelli_memo_released_when_the_suite_returns(self, ctx_of,
+                                                             table_of):
+        ctx, table = ctx_of(4, 8), table_of(4, 8)
+        verify_commutativity(ctx, table=table)   # fill the lasting caches
+        matrix_bytes = 8 * ctx.dim ** 2
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = verify_commutativity(ctx, table=table)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert report.ok
+        # the memo held one dim x dim int64 matrix per row monomial, and
+        # none of them may outlive the suite without the cyclic collector
+        assert peak - before > 10 * matrix_bytes
+        assert after - before < matrix_bytes
+
+
+def _grading_reference(ctx, table):
+    """Failures of verify_grading, pair by pair, cup by lr_coefficient."""
+    failures = []
+    for ra in range(ctx.dim):
+        for rb in range(ra, ctx.dim):
+            lam, mu = ctx.basis[ra], ctx.basis[rb]
+            total = degree(lam) + degree(mu)
+            prod = quantum_product(basis_class(ctx, lam),
+                                   basis_class(ctx, mu), table=table)
+            bad_degree = [t for t in prod.terms
+                          if degree(ctx.basis[t]) > total
+                          or (total - degree(ctx.basis[t])) % ctx.n]
+            top = prod.homogeneous_part(total)
+            cup = CohomClass(ctx, {t: lr_coefficient(lam, mu, ctx.basis[t])
+                                   for t in range(ctx.dim)
+                                   if degree(ctx.basis[t]) == total})
+            if bad_degree or top != cup:
+                failures.append({"pair": [list(trim(lam)), list(trim(mu))],
+                                 "bad_degree": [list(trim(ctx.basis[t]))
+                                                for t in sorted(bad_degree)],
+                                 "top": terms_json(top),
+                                 "cup": terms_json(cup)})
+    failures.sort(key=lambda f: f["pair"])
+    return failures
+
+
+def _stored_terms(ctx, table):
+    """(pair's first rank, pair's second rank, target) of every term."""
+    ra, rb = np.triu_indices(ctx.dim)
+    width = np.diff(table.indptr)
+    return zip(np.repeat(ra, width).tolist(), np.repeat(rb, width).tolist(),
+               table.targets.tolist())
+
+
+class TestGradingFailureRecords:
+    """The per-diagram mask must report what a per-pair loop reports."""
+
+    CONTEXTS = [(2, 4), (2, 5), (3, 6)]
+
+    def _check(self, ctx, bad):
+        report = verify_grading(ctx, table=bad)
+        expected = _grading_reference(ctx, bad)
+        assert expected and report.failures == expected, ctx
+        assert report.checked == ctx.dim * (ctx.dim + 1) // 2
+
+    def test_corrupted_top_coefficient(self, ctx_of, table_of):
+        for k, n in self.CONTEXTS:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            deg = [degree(lam) for lam in ctx.basis]
+            top = [i for i, (ra, rb, t) in
+                   enumerate(_stored_terms(ctx, table))
+                   if deg[t] == deg[ra] + deg[rb]]
+            coeffs = table.coeffs.copy()
+            coeffs[top[len(top) // 2]] += 1
+            self._check(ctx, StructureTable(ctx, table.indptr,
+                                            table.targets, coeffs))
+
+    def test_corrupted_target(self, ctx_of, table_of):
+        for k, n in self.CONTEXTS:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            deg = [degree(lam) for lam in ctx.basis]
+            index = len(table.targets) // 2
+            ra, rb, t = list(_stored_terms(ctx, table))[index]
+            # move the term one degree up, onto a rank its pair lacks
+            p = quantum._pair_index(ctx.dim, ra, rb)
+            present = table.targets[table.indptr[p]:table.indptr[p + 1]]
+            moved = next(r for r in ctx.ranks_by_degree[deg[t] + 1]
+                         if r not in present)
+            targets = table.targets.copy()
+            targets[index] = moved
+            self._check(ctx, StructureTable(ctx, table.indptr, targets,
+                                            table.coeffs))
 
 
 class TestGWInvariant:

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from qgr import spectrum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
-                           row_class, unit_class, zero_class)
+                           row_class, terms_json, unit_class, zero_class)
 from qgr.involution import bar
 from qgr.partitions import GrassmannContext
-from qgr.quantum import quantum_product
+from qgr.quantum import StructureTable, quantum_product
 from qgr.spectrum import (DegenerateSpectrum, conjugation_point_permutation,
                           evaluate, joint_eigenbasis, mult_matrix,
                           random_integer_classes, spectrum_json_dict,
@@ -77,15 +77,16 @@ def _mult_matrix_loop(c, table):
 
 class TestMultMatrixContraction:
     def test_basis_classes_match_loop(self, ctx_of, table_of):
-        for k, n in all_contexts(7):
+        for k, n in all_contexts(8):
             ctx, table = ctx_of(k, n), table_of(k, n)
-            for lam in ctx.basis:
+            for rank, lam in enumerate(ctx.basis):
                 c = basis_class(ctx, lam)
-                assert np.array_equal(mult_matrix(c, table=table),
-                                      _mult_matrix_loop(c, table))
+                loop = _mult_matrix_loop(c, table)
+                assert np.array_equal(mult_matrix(c, table=table), loop)
+                assert np.array_equal(table.basis_matrix(rank), loop)
 
     def test_dense_classes_match_loop(self, ctx_of, table_of):
-        for k, n in all_contexts(6):
+        for k, n in all_contexts(8):
             ctx, table = ctx_of(k, n), table_of(k, n)
             for c in random_integer_classes(ctx, 3, seed=k * 100 + n):
                 m = mult_matrix(c, table=table)
@@ -375,6 +376,96 @@ class TestPositivity:
                                        spectral=spectral_of(k, n),
                                        table=table_of(k, n))
             assert report.ok and report.checked == len(classes)
+
+
+    def test_gates_scale_with_the_class(self, ctx_of, table_of,
+                                        spectral_of):
+        # rounding grows with the values: a multiple of a class whose
+        # product passes must pass too
+        for k, n in [(3, 6), (4, 8)]:
+            ctx = ctx_of(k, n)
+            classes = random_integer_classes(ctx, 20, seed=k * 100 + n)
+            for m in (1, 100):
+                report = verify_positivity(ctx, [m * c for c in classes],
+                                           spectral=spectral_of(k, n),
+                                           table=table_of(k, n))
+                assert report.ok, (k, n, m, report.failures)
+
+    def test_eigenvalue_gate_is_relative(self, ctx_of, table_of,
+                                         spectral_of, monkeypatch):
+        ctx = ctx_of(3, 6)
+        c = 100 * random_integer_classes(ctx, 1, seed=5)[0]
+        eigvalsh = np.linalg.eigvalsh
+        for shift, reported in [(1e-12, False), (1e-6, True)]:
+            def shifted(a, shift=shift):
+                # the smallest eigenvalue becomes -shift * max |eigenvalue|
+                eig = eigvalsh(a)
+                return eig - eig.min() - shift * np.abs(eig).max()
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+            report = verify_positivity(ctx, [c], spectral=spectral_of(3, 6),
+                                       table=table_of(3, 6))
+            issues = [i for f in report.failures for i in f["issues"]]
+            assert [i.startswith("minimum eigenvalue") for i in issues] == \
+                ([True] if reported else []), shift
+
+    def test_perturbed_character_is_reported(self, ctx_of, table_of,
+                                             spectral_of):
+        ctx, sd = ctx_of(2, 4), spectral_of(2, 4)
+        s1 = row_class(ctx, 1)
+        # s1 * bar(s1) = 1 + (2,2): move the value of (2,2) at point 3
+        chars = sd.character_matrix().copy()
+        chars[3, ctx.rank((2, 2))] += 1e-6j
+        report = verify_positivity(
+            ctx, [s1], spectral=dataclasses.replace(sd, characters=chars),
+            table=table_of(2, 4))
+        assert [f["issues"] for f in report.failures] == [["values not real"]]
+
+    def test_corrupted_table_matches_reference(self, ctx_of, table_of,
+                                               spectral_of):
+        for k, n in [(2, 4), (2, 5), (3, 6)]:
+            ctx, table, sd = ctx_of(k, n), table_of(k, n), spectral_of(k, n)
+            coeffs = table.coeffs.copy()
+            coeffs[len(coeffs) // 3] += 1
+            bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+            classes = [basis_class(ctx, lam) for lam in ctx.basis]
+            classes += random_integer_classes(ctx, 5, seed=n)
+            report = verify_positivity(ctx, classes, spectral=sd, table=bad)
+            expected = _positivity_reference(ctx, classes, sd, bad)
+            assert expected and report.failures == expected, (k, n)
+            assert report.checked == len(classes)
+
+
+def _positivity_reference(ctx, classes, spectral, table, tol=1e-8):
+    """Failures of verify_positivity, from per-pair products."""
+    chars = spectral.character_matrix()
+    failures = []
+    for i, c in enumerate(classes):
+        prod = quantum_product(c, bar(c), table=table)
+        mat = _mult_matrix_loop(prod, table)
+        issues = []
+        if (mat != mat.T).any():
+            issues.append("matrix not symmetric")
+        else:
+            eig = np.linalg.eigvalsh(mat.astype(np.float64))
+            if eig.min() < -tol * max(1.0, np.abs(eig).max()):
+                issues.append(f"minimum eigenvalue {eig.min():.3e}")
+        real, imag, bound = [], [], []
+        for point in range(chars.shape[0]):
+            terms = [(chars[point, t], v) for t, v in prod.terms.items()]
+            value = sum(x * v for x, v in terms)
+            real.append(value.real)
+            imag.append(value.imag)
+            bound.append(tol * max(1.0, sum(abs(x) * abs(v)
+                                            for x, v in terms)))
+        if any(abs(y) > b for y, b in zip(imag, bound)):
+            issues.append("values not real")
+        if any(-x > b for x, b in zip(real, bound)):
+            issues.append("negative value")
+        if issues:
+            failures.append({"class_index": i, "terms": terms_json(c),
+                             "issues": issues})
+    return failures
 
 
 class TestVanishing:
