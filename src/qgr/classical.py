@@ -194,38 +194,48 @@ def _lr_count(lam, nu, bound=None):
     """
     rows = len(nu)
     lam = lam + (0,) * (rows - len(lam))
+    # each cell with its right neighbour's column (None at the row's end)
+    # and whether the cell above lies in the skew shape
     cells = []
     for i in range(rows):
         for col in range(nu[i] - 1, lam[i] - 1, -1):
-            cells.append((i, col))
+            cells.append((i, col, col + 1 if col + 1 < nu[i] else None,
+                          i > 0 and lam[i - 1] <= col < nu[i - 1]))
     caps = bound if bound is not None else (len(cells),) * rows
     m = len(caps)
     grid = [[0] * nu[i] for i in range(rows)]
     counts = [0] * (m + 1)
     out = {}
-
-    def fill(pos):
+    # depth first over the cells without recursion: the cell at pos
+    # holds 0 until a value is placed, and backtracking moves its value
+    # up to the next one that passes
+    pos = 0
+    while pos >= 0:
         if pos == len(cells):
             content = trim(counts[1:])
             out[content] = out.get(content, 0) + 1
-            return
-        i, col = cells[pos]
-        hi = m
-        if col + 1 < nu[i]:
-            hi = min(hi, grid[i][col + 1])  # weakly increasing along rows
-        above = grid[i - 1][col] if i > 0 and col < nu[i - 1] and col >= lam[i - 1] else 0
-        for v in range(above + 1, hi + 1):  # strictly increasing down columns
-            if counts[v] >= caps[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice word prefix condition
+            pos -= 1
+            continue
+        i, col, right, above = cells[pos]
+        v = grid[i][col]
+        if v:
+            counts[v] -= 1
+        elif above:
+            v = grid[i - 1][col]  # strictly increasing down columns
+        # weakly increasing along rows
+        hi = m if right is None else min(m, grid[i][right])
+        v += 1
+        # lattice word prefix condition, and the content bound
+        while v <= hi and (counts[v] >= caps[v - 1]
+                           or v > 1 and counts[v] >= counts[v - 1]):
+            v += 1
+        if v <= hi:
             counts[v] += 1
             grid[i][col] = v
-            fill(pos + 1)
+            pos += 1
+        else:
             grid[i][col] = 0
-            counts[v] -= 1
-
-    fill(0)
+            pos -= 1
     return out
 
 
@@ -316,23 +326,34 @@ def classical_pieri(lam, r, ctx):
     if not 0 <= r <= ctx.k:
         raise ValueError(f"row length {r} outside 0..k={ctx.k}")
     l = ctx.l
+    # interlacing nu_1 >= lam_1 >= nu_2 >= lam_2 >= ... keeps the added
+    # strip horizontal and nu weakly decreasing: row i takes up to
+    # caps[i] boxes, and room[i] is what rows i.. can take together
+    caps = [(lam[i - 1] if i else ctx.k) - lam[i] for i in range(l)]
+    room = [0] * (l + 1)
+    for i in range(l - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
     out = {}
-
-    def build(i, remaining, prev, acc):
-        if i == l:
-            if remaining == 0:
-                out[ctx.rank(tuple(acc))] = 1
-            return
-        # interlacing nu_1 >= lam_1 >= nu_2 >= lam_2 >= ... keeps the
-        # added strip horizontal and nu weakly decreasing
-        cap = min(prev, lam[i] + remaining)
-        for nu_i in range(lam[i], cap + 1):
-            acc.append(nu_i)
-            build(i + 1, remaining - (nu_i - lam[i]), lam[i], acc)
-            acc.pop()
-
-    build(0, r, ctx.k, [])
-    return CohomClass(ctx, out)
+    if r > room[0]:
+        return CohomClass(ctx, out)
+    # the strips e (boxes added per row) in lexicographic order, without
+    # recursion: fill rows start.. as low as the rows after them allow,
+    # then raise the last row that can take a box from the rows after it
+    added = [0] * l
+    start, left = 0, r
+    while True:
+        for i in range(start, l):
+            added[i] = max(0, left - room[i + 1])
+            left -= added[i]
+        out[ctx.rank(tuple(p + e for p, e in zip(lam, added)))] = 1
+        i, left = l - 1, 0
+        while i >= 0 and (left == 0 or added[i] == caps[i]):
+            left += added[i]
+            i -= 1
+        if i < 0:
+            return CohomClass(ctx, out)
+        added[i] += 1
+        start, left = i + 1, left - 1
 
 
 def pairing(a, b):

@@ -13,18 +13,26 @@ indices running over 1..l, and 0 otherwise.  Since the grading only
 survives mod n at q = 1, the curve degree d of any invariant is
 recovered from deg A + deg B + deg C = kl + d*n.
 
+The rule has two forms.  _pieri_matrix evaluates it as array work
+over all pairs of diagrams of the two admissible degrees, one whole
+Pieri matrix per row class; _pieri_row evaluates it in Python, one
+row at a time, for the consumers that read few rows.
+
 The structure table of all basis products is built by Pieri
-inversion (build_table): the matrix of multiplication by a diagram is
-its first row's Pieri matrix applied to the matrix of the rest of the
-diagram, minus matrices of diagrams met earlier in the basis order.
-The table is stored as integer arrays.
+inversion (build_table) from the whole matrices: the matrix of
+multiplication by a diagram is its first row's Pieri matrix applied
+to the matrix of the rest of the diagram, minus matrices of diagrams
+met earlier in the basis order.  The table is stored as integer
+arrays.
 
 A single product (mul, gw) expands one factor by the Giambelli
 determinant in single-row classes (valid verbatim in the quantum ring)
-and applies the row rule repeatedly.  The same expansion, run once per
-diagram over all columns (_giambelli_matrices), is the independent
-oracle the table is checked against, and the test suite validates it
-against the ring axioms rather than trusting it.
+and applies the scalar row rule repeatedly.  The same expansion, run
+once per diagram over all columns (_giambelli_matrices), is the
+independent oracle the table is checked against, so the commutativity
+suite holds the array form of the rule against the scalar one; the
+test suite validates the expansion against the ring axioms rather than
+trusting it.
 """
 
 from __future__ import annotations
@@ -41,8 +49,9 @@ from .reports import VerifyReport
 
 DEFAULT_SEED = 0xC0FFEE
 
-# per-(k, n) memo of Pieri rows, keyed by (r, rank); pure data, so the
-# cache is observationally transparent
+# per-(k, n) memo of Pieri rows, keyed by (r, rank), and of whole Pieri
+# matrices, keyed by ("matrix", r); pure data, so the cache is
+# observationally transparent
 _RING_CACHE = {}
 
 
@@ -87,6 +96,56 @@ def _pieri_row(ctx, r, rank):
     row = tuple(sorted(out))
     cache[key] = row
     return row
+
+
+def _pieri_matrix(ctx, r):
+    """Every Pieri row of (r) at once, as CSR arrays (ptr, targets).
+
+    The row of rank j, targets[ptr[j]:ptr[j + 1]] (int32, increasing),
+    holds the same ranks as _pieri_row(ctx, r, j).  The rule is
+    evaluated as array work over all pairs (lam, T) of the two
+    admissible degrees, with T unwound from its dual:
+        deg T = deg lam + r:      T_i >= lam_i      and T_(i+1) <= lam_i,
+        deg T = deg lam + r - n:  T_i <= lam_i - 1  and T_(i-1) >= lam_i - 1.
+    The arrays are read-only and memoized per context.
+    """
+    import numpy as np
+    if not 1 <= r <= ctx.k:
+        raise ValueError(f"row length {r} outside 1..k={ctx.k}")
+    cache = _RING_CACHE.setdefault((ctx.k, ctx.n), {})
+    hit = cache.get(("matrix", r))
+    if hit is not None:
+        return hit
+    dim, top = ctx.dim, ctx.top_degree
+    parts = np.array(ctx.basis, dtype=np.int32).reshape(dim, ctx.l)
+    # the basis is graded: degree d holds the ranks first[d]:first[d + 1]
+    first = np.zeros(top + 3, dtype=np.int64)
+    np.cumsum([len(ranks) for ranks in ctx.ranks_by_degree],
+              out=first[1:top + 2])
+    first[top + 2] = dim
+    deg = np.repeat(np.arange(top + 1), np.diff(first[:top + 2]))
+    keys = []
+    for shift in (r - ctx.n, r):
+        # degrees off the box read the empty range first[top + 1:]
+        target = deg + shift
+        target[(target < 0) | (target > top)] = top + 1
+        lo = first[target]
+        width = first[target + 1] - lo
+        lam = np.repeat(np.arange(dim), width)
+        t = _flat_ranges(lo, width)
+        a, b = parts[lam], parts[t]
+        if shift < r:
+            ok = (b < a).all(axis=1) & (b[:, :-1] >= a[:, 1:] - 1).all(axis=1)
+        else:
+            ok = (b >= a).all(axis=1) & (b[:, 1:] <= a[:, :-1]).all(axis=1)
+        keys.append(lam[ok] * dim + t[ok])
+    key = np.sort(np.concatenate(keys))
+    ptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // dim, minlength=dim), out=ptr[1:])
+    targets = (key % dim).astype(np.int32)
+    ptr.flags.writeable = targets.flags.writeable = False
+    hit = cache[("matrix", r)] = (ptr, targets)
+    return hit
 
 
 def quantum_pieri_product(r, a):
@@ -353,8 +412,12 @@ def build_table(ctx):
         M_lam = P_{lam_1} M_lam' - sum of M_nu,
 
     nu running over the diagrams other than lam obtained from lam' by a
-    horizontal lam_1-strip (classical_pieri), and P_r the quantum Pieri
-    matrix of the row class (r).  This is the Pieri rule
+    horizontal lam_1-strip, and P_r the quantum Pieri matrix of the row
+    class (r) (_pieri_matrix).  The strips are the targets of degree
+    deg lam in the Pieri row of lam': the degree-preserving part of a
+    quantum Pieri product is the classical one, which
+    verify_pieri_consistency checks against classical_pieri.  This is
+    the Pieri rule
     h_r s_lam' = sum of s_nu over all such strips, pushed through the
     Giambelli homomorphism.  Every term on the right is known when lam
     is reached:
@@ -362,13 +425,16 @@ def build_table(ctx):
       - a strip adds at most one row to lam' (at most l - 1 rows), so
         every nu fits in l rows;
       - a nu with nu_1 > k maps to zero, because the first row of its
-        determinant holds only rows longer than k; classical_pieri
-        stays in the box and leaves these out;
+        determinant holds only rows longer than k; the degree-preserving
+        part of the Pieri row of lam' stays in the box and leaves these
+        out;
       - every other nu has the degree of lam and nu_i <= lam_i for
         i >= 2 (interlacing), so nu_1 > lam_1: lex-larger, hence
         earlier in the order.
     The unit's matrix is the identity.  Each M_lam is kept sparse, as
-    flat indices j * dim + t (column j, target t) with their values.
+    flat indices j * dim + t (column j, target t) with their values, and
+    summed in a dense integer scratch vector of dim^2 entries, whose
+    nonzero entries come out in index order.
 
     Every stored constant is checked: positive, of degree at most the
     pair's total and congruent to it mod n; anything else raises
@@ -378,16 +444,12 @@ def build_table(ctx):
 
     dim, n = ctx.dim, ctx.n
     deg = np.array([degree(lam) for lam in ctx.basis])
-    pieri = {}
-    for r in range(1, ctx.k + 1):
-        rows = [_pieri_row(ctx, r, j) for j in range(dim)]
-        ptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=ptr[1:])
-        pieri[r] = (ptr, np.array([t for row in rows for t in row],
-                                  dtype=np.int32))
+    pieri = {r: _pieri_matrix(ctx, r) for r in range(1, ctx.k + 1)}
 
     # stored magnitudes stay below _COEFF_BOUND, so int32 holds them and
-    # each step's sums, at most 2 * dim of them, stay exact in int64
+    # each step's sums, at most 2 * dim of them, stay exact in int64;
+    # acc is the dense scratch of one step, all zero between steps
+    acc = np.zeros(dim * dim, dtype=np.int64)
     mats = [None] * dim
     mats[0] = (np.arange(dim, dtype=np.int64) * (dim + 1),
                np.ones(dim, dtype=np.int32))
@@ -395,25 +457,25 @@ def build_table(ctx):
     for ra in range(dim):
         lam = ctx.basis[ra]
         if ra:
-            key, val = mats[ctx.rank(lam[1:] + (0,))]
+            rest = ctx.rank(lam[1:] + (0,))
+            key, val = mats[rest]
             col, t = np.divmod(key, dim)
             ptr, tgt = pieri[lam[0]]
             width = ptr[t + 1] - ptr[t]
             image = tgt[_flat_ranges(ptr[t], width)]
-            keys = [np.repeat(col, width) * dim + image]
-            vals = [np.repeat(val, width)]
-            for nu in classical_pieri(lam[1:] + (0,), lam[0], ctx).terms:
+            # int64 values keep np.add.at on its fast path
+            np.add.at(acc, np.repeat(col, width) * dim + image,
+                      np.repeat(val.astype(np.int64), width))
+            # the strips nu are the targets of lam's degree in the Pieri
+            # row of lam'
+            row = tgt[ptr[rest]:ptr[rest + 1]]
+            for nu in row[deg[row] == deg[ra]].tolist():
                 if nu != ra:
-                    keys.append(mats[nu][0])
-                    vals.append(-mats[nu][1])
-            key = np.concatenate(keys)
-            val = np.concatenate(vals, dtype=np.int64)
-            order = np.argsort(key)
-            key, val = key[order], val[order]
-            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            key, val = key[starts], np.add.reduceat(val, starts)
-            keep = val != 0
-            key, val = key[keep], val[keep]
+                    np.subtract.at(acc, mats[nu][0],
+                                   mats[nu][1].astype(np.int64))
+            key = np.flatnonzero(acc)
+            val = acc[key]
+            acc[key] = 0
             if np.abs(val).max(initial=0) >= _COEFF_BOUND:
                 raise OverflowError(f"structure constant of {lam} exceeds "
                                     "the safe integer bound")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .classical import CohomClass, basis_class, rank_map, terms_json
 from .partitions import bar_involution, degree, format_partition, trim
-from .quantum import DEFAULT_SEED, _pieri_row, build_table
+from .quantum import DEFAULT_SEED, _pieri_matrix, build_table
 from .reports import VerifyReport
 
 RESIDUAL_TOL = 1e-8
@@ -162,11 +162,12 @@ def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
     row_ranks = [ctx.rank((r,) + (0,) * (l - 1)) for r in range(1, k + 1)]
     padded = np.concatenate([chars, np.zeros((len(subsets), 1))], axis=1)
     for r, rank in enumerate(row_ranks, start=1):
-        rows = [_pieri_row(ctx, r, j) for j in range(dim)]
+        ptr, targets = _pieri_matrix(ctx, r)
+        width = np.diff(ptr)
         # slot s of column j is the s-th rank of its Pieri row, else dim
-        slots = np.full((max(map(len, rows)), dim), dim)
-        for j, row in enumerate(rows):
-            slots[:len(row), j] = row
+        slots = np.full((width.max(), dim), dim)
+        slots[np.arange(len(targets)) - np.repeat(ptr[:-1], width),
+              np.repeat(np.arange(dim), width)] = targets
         image = sum(padded[:, slot] for slot in slots)       # X_S P_r
         dev = np.linalg.norm(image - chars[:, rank, None] * chars, axis=1)
         residual = np.maximum(residual, dev / norms)

@@ -45,3 +45,18 @@ def spectral_of():
 def all_contexts(max_n, min_n=2):
     """(k, n) pairs with 1 <= k < n and min_n <= n <= max_n."""
     return [(k, n) for n in range(min_n, max_n + 1) for k in range(1, n)]
+
+
+def with_extra_targets(matrix, extra):
+    """A Pieri matrix (ptr, targets) with more targets in some rows.
+
+    extra maps a rank to the targets its row gains; rows stay sorted.
+    """
+    import numpy as np
+    ptr, targets = matrix
+    rows = [targets[ptr[j]:ptr[j + 1]].tolist() for j in range(len(ptr) - 1)]
+    for rank, more in extra.items():
+        rows[rank] = sorted(rows[rank] + list(more))
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=out[1:])
+    return out, np.array([t for row in rows for t in row], dtype=np.int32)

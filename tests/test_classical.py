@@ -1,9 +1,11 @@
+import gc
 import itertools
 import random
 from functools import partial
 
 import pytest
 
+from qgr import classical
 from qgr.classical import (CohomClass, _cup_rows, basis_class,
                            class_from_parts, classical_pieri, column_class,
                            cup_product, lr_coefficient, pairing, point_class,
@@ -164,6 +166,10 @@ class TestLittlewoodRichardson:
         with pytest.raises(ValueError):
             lr_coefficient((1, 2), (1,), (2, 2))
 
+    def test_one_cell_per_box_beyond_the_recursion_limit(self):
+        assert lr_coefficient((), (1200,), (1200,)) == 1
+        assert lr_coefficient((), (1,) * 1200, (1,) * 1200) == 1
+
     def test_symmetry_small_scan(self):
         shapes = [p for size in range(7) for p in partitions_of(size)]
         for lam, mu in itertools.combinations(shapes, 2):
@@ -189,6 +195,19 @@ class TestLittlewoodRichardson:
 
 
 class TestCupProduct:
+    def test_cup_rows_leave_no_reference_cycle(self):
+        ctx = GrassmannContext(4, 8)
+        classical._CUP_CACHE.pop((4, 8), None)
+        gc.collect()
+        gc.disable()
+        try:
+            for ra in range(ctx.dim):
+                _cup_rows(ctx, ra)
+            classical._CUP_CACHE.pop((4, 8))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_s1_squared_g24(self):
         ctx = GrassmannContext(2, 4)
         s1 = row_class(ctx, 1)
@@ -273,6 +292,31 @@ class TestClassicalPieri:
                 for r in range(1, k + 1):
                     assert set(classical_pieri(lam, r, ctx).terms.values()) \
                         <= {1}
+
+    def test_rows_beyond_the_recursion_limit(self):
+        ctx = GrassmannContext(1, 1200)
+        assert classical_pieri(ctx.basis[0], 1, ctx) == row_class(ctx, 1)
+
+    def test_term_order_is_lexicographic(self, ctx_of):
+        for k, n in all_contexts(7):
+            ctx = ctx_of(k, n)
+            for lam in ctx.basis:
+                for r in range(k + 1):
+                    nus = [ctx.basis[t]
+                           for t in classical_pieri(lam, r, ctx).terms]
+                    assert nus == sorted(nus), (k, n, lam, r)
+
+    def test_leaves_no_reference_cycle(self, ctx_of):
+        ctx = ctx_of(3, 7)
+        gc.collect()
+        gc.disable()
+        try:
+            for lam in ctx.basis:
+                for r in range(ctx.k + 1):
+                    classical_pieri(lam, r, ctx)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_range_check(self):
         ctx = GrassmannContext(2, 4)

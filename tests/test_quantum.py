@@ -11,7 +11,7 @@ from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            classical_pieri, column_class, lr_coefficient,
                            point_class, row_class, terms_json, unit_class,
                            zero_class)
-from qgr.partitions import GrassmannContext, degree, trim
+from qgr.partitions import GrassmannContext, degree, poincare_dual, trim
 from qgr.quantum import (GWRecord, StructureTable, _basis_product,
                          _giambelli_matrices, _product_via_giambelli,
                          build_table, c_apply, giambelli_expand,
@@ -21,7 +21,7 @@ from qgr.quantum import (GWRecord, StructureTable, _basis_product,
                          verify_cyclic, verify_giambelli, verify_grading,
                          verify_pieri_consistency)
 
-from conftest import all_contexts
+from conftest import all_contexts, with_extra_targets
 
 
 class TestPieriInvariant:
@@ -79,6 +79,39 @@ class TestPieriProduct:
                     assert set(prod.terms.values()) <= {1}
                     top = prod.homogeneous_part(degree(lam) + r)
                     assert top == classical_pieri(lam, r, ctx)
+
+
+class TestPieriMatrix:
+    def test_matches_the_invariant_on_every_triple(self, ctx_of):
+        # l = 1 and k = 1 contexts included, where the shifted slices
+        # of the array rule are empty
+        for k, n in all_contexts(9) + [(5, 10)]:
+            ctx = ctx_of(k, n)
+            duals = [poincare_dual(t, k) for t in ctx.basis]
+            for r in range(1, k + 1):
+                ptr, targets = quantum._pieri_matrix(ctx, r)
+                assert ptr.shape == (ctx.dim + 1,) and ptr[0] == 0
+                assert targets.dtype == np.int32
+                for rank, lam in enumerate(ctx.basis):
+                    row = targets[ptr[rank]:ptr[rank + 1]].tolist()
+                    assert row == [t for t, dual in enumerate(duals)
+                                   if quantum_pieri_invariant(lam, dual, r,
+                                                              ctx)], \
+                        (k, n, r, lam)
+
+    def test_memoized_read_only(self, ctx_of):
+        ctx = ctx_of(3, 6)
+        ptr, targets = quantum._pieri_matrix(ctx, 2)
+        assert quantum._pieri_matrix(ctx, 2)[1] is targets
+        with pytest.raises(ValueError):
+            targets[0] = 0
+        with pytest.raises(ValueError):
+            ptr[0] = 1
+
+    def test_range_check(self, ctx_of):
+        for r in (0, 4):
+            with pytest.raises(ValueError):
+                quantum._pieri_matrix(ctx_of(3, 6), r)
 
 
 class TestGiambelli:
@@ -240,6 +273,30 @@ class TestCommutativityFailureRecords:
                              ("lhs", "pair", "rhs")}, (k, n)
             assert report.failures == expected, (k, n)
             assert report.checked == ctx.dim * (ctx.dim + 1) // 2
+
+
+    def test_corrupted_pieri_matrix_reported_against_giambelli(
+            self, monkeypatch):
+        pieri_matrix = quantum._pieri_matrix
+
+        def corrupted(ctx, r):
+            # (1) times (2) gains (1,1,1): of the right degree, so the
+            # build accepts it, and only the table sees it
+            matrix = pieri_matrix(ctx, r)
+            extra = {ctx.rank((2, 0, 0)): (ctx.rank((1, 1, 1)),)}
+            return with_extra_targets(matrix, extra) if r == 1 else matrix
+
+        for k, n in [(2, 5), (3, 6)]:
+            ctx = GrassmannContext(k, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(quantum, "_pieri_matrix", corrupted)
+                table = build_table(ctx)
+            assert table != build_table(ctx)
+            report = verify_commutativity(ctx, table=table)
+            expected = _commutativity_reference(ctx, table)
+            assert {tuple(sorted(f)) for f in expected} == \
+                {("giambelli", "pair", "table")}, (k, n)
+            assert report.failures == expected, (k, n)
 
 
 class TestCommutativityMemory:
@@ -421,14 +478,16 @@ class TestStructureTable:
             table_of(2, 4).product_ranks(0, 6)
 
     def test_corrupted_pieri_row_raises(self, monkeypatch):
-        pieri_row = quantum._pieri_row
+        pieri_matrix = quantum._pieri_matrix
 
-        def corrupted(ctx, r, rank):
+        def corrupted(ctx, r):
             # (1) times any diagram gains the diagram itself: wrong degree
-            row = pieri_row(ctx, r, rank)
-            return row + (rank,) if r == 1 else row
+            matrix = pieri_matrix(ctx, r)
+            return with_extra_targets(matrix, {rank: (rank,) for rank
+                                               in range(ctx.dim)}) \
+                if r == 1 else matrix
 
-        monkeypatch.setattr(quantum, "_pieri_row", corrupted)
+        monkeypatch.setattr(quantum, "_pieri_matrix", corrupted)
         with pytest.raises(ArithmeticError,
                            match=r"invalid structure constant 1 at \(1, 0\)"
                                  r" in product \(1, 0\) \* \(1, 0\)"):

@@ -18,7 +18,7 @@ from qgr.spectrum import (DegenerateSpectrum, conjugation_point_permutation,
                           verify_conjugation, verify_point_conjugation,
                           verify_positivity, verify_vanishing)
 
-from conftest import all_contexts
+from conftest import all_contexts, with_extra_targets
 
 
 class TestMultMatrix:
@@ -196,13 +196,14 @@ class TestJointEigenbasis:
                 assert not eigvals
 
     def test_corrupted_pieri_row_raises(self, ctx_of, monkeypatch):
-        pieri_row = spectrum._pieri_row
+        pieri_matrix = spectrum._pieri_matrix
 
-        def corrupted(ctx, r, rank):
-            row = pieri_row(ctx, r, rank)
-            return row + (ctx.dim - 1,) if (r, rank) == (1, 3) else row
+        def corrupted(ctx, r):
+            matrix = pieri_matrix(ctx, r)
+            return with_extra_targets(matrix, {3: (ctx.dim - 1,)}) \
+                if r == 1 else matrix
 
-        monkeypatch.setattr(spectrum, "_pieri_row", corrupted)
+        monkeypatch.setattr(spectrum, "_pieri_matrix", corrupted)
         with pytest.raises(DegenerateSpectrum, match="Pieri certificate"):
             joint_eigenbasis(ctx_of(2, 4))
 
