@@ -11,7 +11,6 @@ product rule for duals.
 
 from __future__ import annotations
 
-import random
 from functools import partial
 
 import numpy as np
@@ -19,8 +18,8 @@ import numpy as np
 from .classical import (basis_class, pairing, rank_map, relabel, row_class,
                         terms_json)
 from .partitions import bar_involution, c_shift, poincare_dual, trim
-from .quantum import (DEFAULT_SEED, build_table, gw_invariant,
-                      quantum_pieri_invariant, quantum_product)
+from .quantum import (DEFAULT_SEED, _seeded_triples, build_table,
+                      gw_invariant, quantum_pieri_invariant, quantum_product)
 from .reports import VerifyReport
 
 
@@ -132,8 +131,11 @@ def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
     M the table's multiplication matrices and dual, bar the rank
     permutations; pairs whose columns differ are recomputed as classes,
     to write their failure records.  The second,
-    <A,C,B> = <dual A, dual C, bar B>, runs over seeded basis triples.
-    Without a table, one is built.
+    <A,C,B> = <dual A, dual C, bar B>, runs over seeded basis triples,
+    all at once: the coefficient of dual B in A * C against that of
+    dual bar B in dual A * dual C, read off StructureTable.pair_products.
+    Triples that differ are recomputed as classes, to write their
+    failure records.  Without a table, one is built.
     """
     def dual(lam):
         return poincare_dual(lam, ctx.k)
@@ -158,22 +160,29 @@ def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
                                  a, c, table=table), dual)),
                              "rhs": terms_json(quantum_product(
                                  relabel(a, dual), bar(c), table=table))})
-    rng = random.Random(seed)
-    for _ in range(samples):
-        ra, rb, rc = (rng.randrange(ctx.dim) for _ in range(3))
-        a = basis_class(ctx, ctx.basis[ra])
-        b = basis_class(ctx, ctx.basis[rb])
-        c = basis_class(ctx, ctx.basis[rc])
-        checked += 1
-        lhs = gw_invariant(a, c, b, table=table)
-        rhs = gw_invariant(relabel(a, dual), relabel(c, dual), bar(b),
-                           table=table)
-        if lhs != rhs:
-            failures.append({"identity": "invariant_duality",
-                             "triple": [list(trim(ctx.basis[ra])),
-                                        list(trim(ctx.basis[rb])),
-                                        list(trim(ctx.basis[rc]))],
-                             "lhs": lhs, "rhs": rhs})
+    def coefficient(x, y, target):
+        """Coefficient of basis[target] in basis[x] * basis[y], per entry."""
+        row, t, c = table.pair_products(x, y, np.ones_like(x))
+        hit = t == target[row]
+        out = np.zeros(len(x), dtype=np.int64)
+        np.add.at(out, row[hit], c[hit])
+        return out
+
+    triples = _seeded_triples(ctx, samples, seed)
+    ra, rb, rc = triples.T
+    checked += samples
+    # <A, C, B> pairs A * C with B: the coefficient of dual B
+    lhs = coefficient(ra, rc, dual_rank[rb])
+    rhs = coefficient(dual_rank[ra], dual_rank[rc], dual_rank[bar_rank[rb]])
+    for triple in triples[lhs != rhs].tolist():
+        a, b, c = (basis_class(ctx, ctx.basis[r]) for r in triple)
+        failures.append({"identity": "invariant_duality",
+                         "triple": [list(trim(ctx.basis[r]))
+                                    for r in triple],
+                         "lhs": gw_invariant(a, c, b, table=table),
+                         "rhs": gw_invariant(relabel(a, dual),
+                                             relabel(c, dual), bar(b),
+                                             table=table)})
     failures.sort(key=lambda f: (f["identity"], str(f)))
     return VerifyReport("dual_product_identity", ctx.k, ctx.n,
                         checked, failures)

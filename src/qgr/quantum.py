@@ -54,6 +54,9 @@ DEFAULT_SEED = 0xC0FFEE
 # observationally transparent
 _RING_CACHE = {}
 
+# bound on int64 intermediates of the batched array paths
+_INT64_BOUND = 2 ** 63
+
 
 def quantum_pieri_invariant(a, s, r, ctx):
     """The three-point invariant <A, S, (r)> at q = 1; value 0 or 1."""
@@ -332,6 +335,29 @@ class StructureTable:
         return tuple(zip(self.targets[lo:hi].tolist(),
                          self.coeffs[lo:hi].tolist()))
 
+    def pair_products(self, ra, rb, weight):
+        """Terms of weight[i] * basis[ra[i]] * basis[rb[i]] for every i.
+
+        ra, rb and weight are integer arrays of one length.  Returns
+        flat int64 arrays (row, target, coeff): the products of pair i
+        are the terms coeff * basis[target] at the positions where
+        row == i, pairs in order and each pair's targets increasing.
+        Raises OverflowError where a weighted coefficient could wrap.
+        """
+        import numpy as np
+        p = _pair_index(self.ctx.dim, np.minimum(ra, rb), np.maximum(ra, rb))
+        lo = self.indptr[p]
+        width = self.indptr[p + 1] - lo
+        pos = _flat_ranges(lo, width)
+        coeff = self.coeffs[pos].astype(np.int64)
+        weight = np.repeat(weight, width)
+        if int(np.abs(weight).max(initial=0)) \
+                * int(np.abs(coeff).max(initial=0)) >= _INT64_BOUND:
+            raise OverflowError("weighted structure constant exceeds the "
+                                "int64 range")
+        return (np.repeat(np.arange(len(p)), width),
+                self.targets[pos].astype(np.int64), weight * coeff)
+
     def _ordered_index(self):
         """Every term of every ordered pair, grouped by the first factor.
 
@@ -503,10 +529,6 @@ def build_table(ctx):
                           np.concatenate(coeffs))
 
 
-# bound on int64 intermediates of the batched Giambelli expansion
-_INT64_BOUND = 2 ** 63
-
-
 def _pieri_apply(ctx):
     """The map (r, X) -> P_r @ X on dim x dim int64 matrices.
 
@@ -616,25 +638,52 @@ def verify_commutativity(ctx, table=None):
                         ctx.dim * (ctx.dim + 1) // 2, failures)
 
 
-def verify_associativity(ctx, samples=1000, seed=DEFAULT_SEED, table=None):
-    """(A*B)*C = A*(B*C) on seeded basis triples, exactly over Z."""
+def _seeded_triples(ctx, samples, seed):
+    """samples x 3 int64 array of basis ranks, drawn in seeded order."""
+    import numpy as np
     rng = random.Random(seed)
+    return np.array([[rng.randrange(ctx.dim) for _ in range(3)]
+                     for _ in range(samples)], dtype=np.int64).reshape(-1, 3)
+
+
+def verify_associativity(ctx, samples=1000, seed=DEFAULT_SEED, table=None):
+    """(A*B)*C = A*(B*C) on seeded basis triples, exactly over Z.
+
+    Every triple runs at once on the table's arrays: each side is two
+    rounds of StructureTable.pair_products, summed per triple into a
+    dense samples x dim integer array.  Triples whose sides differ are
+    recomputed as classes, to write their failure records.  Without a
+    table, one is built.
+    """
+    import numpy as np
+    if table is None:
+        table = build_table(ctx)
+    triples = _seeded_triples(ctx, samples, seed)
+    ones = np.ones(samples, dtype=np.int64)
+
+    def side(x, y, z):
+        """(basis[x] * basis[y]) * basis[z], one row per triple."""
+        row, t, c = table.pair_products(x, y, ones)
+        row2, t2, c2 = table.pair_products(t, z[row], c)
+        if int(np.abs(c2).max(initial=0)) * len(c2) >= _INT64_BOUND:
+            raise OverflowError("triple product exceeds the int64 range")
+        out = np.zeros((samples, ctx.dim), dtype=np.int64)
+        np.add.at(out, (row[row2], t2), c2)
+        return out
+
+    ra, rb, rc = triples.T
+    bad = (side(ra, rb, rc) != side(rb, rc, ra)).any(axis=1)
     failures = []
-    for _ in range(samples):
-        ra, rb, rc = (rng.randrange(ctx.dim) for _ in range(3))
-        a = basis_class(ctx, ctx.basis[ra])
-        b = basis_class(ctx, ctx.basis[rb])
-        c = basis_class(ctx, ctx.basis[rc])
+    for triple in triples[bad].tolist():
+        a, b, c = (basis_class(ctx, ctx.basis[r]) for r in triple)
         lhs = quantum_product(quantum_product(a, b, table=table), c,
                               table=table)
         rhs = quantum_product(a, quantum_product(b, c, table=table),
                               table=table)
-        if lhs != rhs:
-            failures.append({"triple": [list(trim(ctx.basis[ra])),
-                                        list(trim(ctx.basis[rb])),
-                                        list(trim(ctx.basis[rc]))],
-                             "lhs": terms_json(lhs),
-                             "rhs": terms_json(rhs)})
+        failures.append({"triple": [list(trim(ctx.basis[r]))
+                                    for r in triple],
+                         "lhs": terms_json(lhs),
+                         "rhs": terms_json(rhs)})
     failures.sort(key=lambda f: f["triple"])
     return VerifyReport("associativity", ctx.k, ctx.n, samples, failures)
 

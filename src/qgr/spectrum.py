@@ -17,8 +17,12 @@ Multiplication by any class is a dim x dim integer matrix in the
 diagram basis.  The suites here check that relabeling diagrams by the
 involution conjugates every character value, that conjugation
 permutes the points as S -> S-bar, that multiplication by C * bar(C)
-is an exactly symmetric positive semidefinite matrix with real
-non-negative values, and that C and bar(C) vanish at the same points.
+is positive semidefinite with real non-negative values, and that C
+and bar(C) vanish at the same points.  As bar is conjugation,
+multiplication by bar(C) is the transpose of multiplication by C, so
+the matrix of C * bar(C) should be the Gram matrix M_C M_C^T; this is
+checked exactly over the integers, and only a matrix that fails the
+identity is judged by float symmetry and eigenvalue gates.
 """
 
 from __future__ import annotations
@@ -252,6 +256,20 @@ def _bar_vector(c, bar_rank, dtype=np.int64):
     return vec
 
 
+def _gram_certified(mat, m_c):
+    """Whether mat equals the Gram matrix M_C M_C^T exactly.
+
+    The product runs in float64 only where dim * max |M_C|^2 < 2**53, so
+    every partial sum is an exactly represented integer; above that
+    bound nothing is certified.
+    """
+    peak = int(np.abs(m_c).max(initial=0))
+    if len(m_c) * peak * peak >= 2 ** 53:
+        return False
+    f = m_c.astype(np.float64)
+    return np.array_equal(mat, f @ f.T)
+
+
 def _positivity_issues(c, bar_rank, spectral, magnitudes, table, tol):
     m_c = mult_matrix(c, table=table)
     v = _bar_vector(c, bar_rank)
@@ -261,13 +279,16 @@ def _positivity_issues(c, bar_rank, spectral, magnitudes, table, tol):
     prod = CohomClass(c.ctx, dict(enumerate((m_c @ v).tolist())))
     mat = mult_matrix(prod, table=table)
     issues = []
-    if not np.array_equal(mat, mat.T):
-        issues.append("matrix not symmetric")
-    else:
-        eig = np.linalg.eigvalsh(mat.astype(np.float64))
-        eigmin = float(eig.min())
-        if not eigmin >= -tol * max(1.0, float(np.abs(eig).max())):
-            issues.append(f"minimum eigenvalue {eigmin:.3e}")
+    # a Gram matrix is symmetric and semidefinite; the float gates judge
+    # only a matrix that is not certified as one
+    if not _gram_certified(mat, m_c):
+        if not np.array_equal(mat, mat.T):
+            issues.append("matrix not symmetric")
+        else:
+            eig = np.linalg.eigvalsh(mat.astype(np.float64))
+            eigmin = float(eig.min())
+            if not eigmin >= -tol * max(1.0, float(np.abs(eig).max())):
+                issues.append(f"minimum eigenvalue {eigmin:.3e}")
     values = evaluate(prod, spectral)
     # the rounding scale of each value's dot product
     bound = tol * np.maximum(1.0, magnitudes
@@ -283,14 +304,19 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
                       table=None):
     """Symmetry and semipositivity of multiplication by C * bar(C).
 
-    Checks, for each class C: exact integer symmetry of the matrix,
-    eigenvalues at least -tol * max(1, largest |eigenvalue|), and point
-    values with imaginary part at most, and real part at least minus,
-    tol * max(1, sum_t |X[S, t]| |v_t|), the rounding scale of the value
-    sum_t X[S, t] v_t of the product v at the point S.  NaN fails every
-    gate.  The product's coordinates are M_C applied to the coordinates
-    of bar(C), and its matrix is built from them, so no step assumes
-    associativity.
+    Checks, for each class C, that the matrix of C * bar(C) is
+    semidefinite: first exactly, as the Gram identity M_(C bar C) =
+    M_C M_C^T (_gram_certified), which makes it symmetric and positive
+    semidefinite.  Where the identity fails or its exact bound does
+    not hold, the float gates decide: exact integer symmetry, then
+    eigenvalues at least -tol * max(1, largest |eigenvalue|).  Every
+    class also needs point values with imaginary part at most, and
+    real part at least minus, tol * max(1, sum_t |X[S, t]| |v_t|), the
+    rounding scale of the value sum_t X[S, t] v_t of the product v at
+    the point S.  NaN fails every float gate.  The product's
+    coordinates are M_C applied to the coordinates of bar(C), and its
+    matrix is built from them; the Gram identity is checked, never
+    assumed, so no step assumes associativity.
     """
     if table is None:
         table = build_table(ctx)

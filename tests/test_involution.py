@@ -8,8 +8,8 @@ from qgr.involution import (bar, verify_dual_product_identity,
                             verify_involution_factorization,
                             verify_product_automorphism)
 from qgr.partitions import GrassmannContext, degree, poincare_dual, trim
-from qgr.quantum import (StructureTable, c_apply, quantum_pieri_invariant,
-                         quantum_product)
+from qgr.quantum import (StructureTable, _pair_index, c_apply,
+                         quantum_pieri_invariant, quantum_product)
 
 from conftest import all_contexts
 
@@ -194,6 +194,28 @@ class TestReportShape:
         assert doc["checked"] == 6 and doc["failures"] == []
 
 
+def _invariant_duality_reference(ctx, table, samples, seed):
+    """Triple failures of verify_dual_product_identity, one at a time."""
+    def dual(lam):
+        return poincare_dual(lam, ctx.k)
+
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        ranks = [rng.randrange(ctx.dim) for _ in range(3)]
+        a, b, c = (basis_class(ctx, ctx.basis[r]) for r in ranks)
+        lhs = pairing(quantum_product(a, c, table=table), b)
+        rhs = pairing(quantum_product(relabel(a, dual), relabel(c, dual),
+                                      table=table), bar(b))
+        if lhs != rhs:
+            failures.append({"identity": "invariant_duality",
+                             "triple": [list(trim(ctx.basis[r]))
+                                        for r in ranks],
+                             "lhs": lhs, "rhs": rhs})
+    failures.sort(key=lambda f: (f["identity"], str(f)))
+    return failures
+
+
 def _corrupted(table, index):
     """A copy of the table with one stored coefficient raised by 1."""
     coeffs = table.coeffs.copy()
@@ -298,3 +320,26 @@ class TestFailureRecords:
             expected = _dual_product_reference(ctx, bad)
             assert expected and report.failures == expected, (k, n)
             assert report.checked == ctx.dim ** 2
+
+    def test_invariant_duality(self, ctx_of, table_of):
+        for k, n in [(2, 5), (3, 6), (3, 7)]:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            # raise the term read by the first seeded triple (A, B, C)
+            # with <A, C, B> = 1: dual B in A * C
+            rng = random.Random(k * n)
+            while True:
+                ra, rb, rc = (rng.randrange(ctx.dim) for _ in range(3))
+                p = _pair_index(ctx.dim, min(ra, rc), max(ra, rc))
+                lo, hi = table.indptr[p:p + 2].tolist()
+                found = table.targets[lo:hi].tolist()
+                dual_b = ctx.rank(poincare_dual(ctx.basis[rb], k))
+                if dual_b in found:
+                    break
+            bad = _corrupted(table, lo + found.index(dual_b))
+            report = verify_dual_product_identity(ctx, samples=1000,
+                                                  seed=k * n, table=bad)
+            failures = [f for f in report.failures
+                        if f["identity"] == "invariant_duality"]
+            expected = _invariant_duality_reference(ctx, bad, 1000, k * n)
+            assert expected and failures == expected, (k, n)
+            assert report.checked == ctx.dim ** 2 + 1000

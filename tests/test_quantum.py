@@ -395,6 +395,63 @@ class TestGradingFailureRecords:
                                             table.coeffs))
 
 
+def _associativity_reference(ctx, table, samples, seed):
+    """Failures of verify_associativity, one triple at a time."""
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        ranks = [rng.randrange(ctx.dim) for _ in range(3)]
+        a, b, c = (basis_class(ctx, ctx.basis[r]) for r in ranks)
+        lhs = quantum_product(quantum_product(a, b, table=table), c,
+                              table=table)
+        rhs = quantum_product(a, quantum_product(b, c, table=table),
+                              table=table)
+        if lhs != rhs:
+            failures.append({"triple": [list(trim(ctx.basis[r]))
+                                        for r in ranks],
+                             "lhs": terms_json(lhs), "rhs": terms_json(rhs)})
+    failures.sort(key=lambda f: f["triple"])
+    return failures
+
+
+class TestAssociativityFailureRecords:
+    """The batched triples must report what a per-triple loop reports."""
+
+    def test_corrupted_coefficient(self, ctx_of, table_of):
+        for k, n in [(2, 5), (3, 6), (3, 7)]:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            coeffs = table.coeffs.copy()
+            coeffs[len(coeffs) // 3] += 1
+            bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+            report = verify_associativity(ctx, samples=1000, seed=k * n,
+                                          table=bad)
+            expected = _associativity_reference(ctx, bad, 1000, k * n)
+            assert expected and report.failures == expected, (k, n)
+            assert report.checked == 1000
+
+    def test_builds_a_table_when_none_is_given(self, ctx_of, monkeypatch):
+        ctx = ctx_of(2, 5)
+        built = []
+
+        def build(c):
+            built.append(c)
+            return build_table(c)
+
+        monkeypatch.setattr(quantum, "build_table", build)
+        report = verify_associativity(ctx, samples=50)
+        assert report.ok and report.checked == 50 and built == [ctx]
+
+    def test_overflow_raises(self, ctx_of, table_of):
+        ctx, table = ctx_of(2, 4), table_of(2, 4)
+        huge = np.full_like(table.coeffs, 2 ** 31 - 1, dtype=np.int64)
+        bad = StructureTable(ctx, table.indptr, table.targets, huge)
+        with pytest.raises(OverflowError):
+            verify_associativity(ctx, samples=10, table=bad)
+        one = np.array([0])
+        with pytest.raises(OverflowError):
+            bad.pair_products(one, one, np.array([2 ** 33]))
+
+
 class TestGWInvariant:
     def test_unit_unit_point(self):
         ctx = GrassmannContext(2, 4)

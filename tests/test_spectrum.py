@@ -11,7 +11,7 @@ from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            row_class, terms_json, unit_class, zero_class)
 from qgr.involution import bar
 from qgr.partitions import GrassmannContext
-from qgr.quantum import StructureTable, quantum_product
+from qgr.quantum import StructureTable, _pair_index, quantum_product
 from qgr.spectrum import (DegenerateSpectrum, conjugation_point_permutation,
                           evaluate, joint_eigenbasis, mult_matrix,
                           random_integer_classes, spectrum_json_dict,
@@ -58,10 +58,17 @@ class TestMultMatrix:
 
     def test_all_pairs_commute(self, ctx_of, table_of):
         for k, n in all_contexts(8):
+            dim = ctx_of(k, n).dim
             table = table_of(k, n)
-            mats = [table.basis_matrix(r) for r in range(ctx_of(k, n).dim)]
-            for ma, mb in itertools.combinations(mats, 2):
-                assert np.array_equal(ma @ mb, mb @ ma)
+            mats = np.stack([table.basis_matrix(r) for r in range(dim)])
+            # float64 sums of dim products below 2**53 are exact integers
+            assert dim * int(np.abs(mats).max()) ** 2 < 2 ** 53
+            mats = mats.astype(np.float64)
+            for a in range(dim - 1):
+                # M_a M_b against M_b M_a for every b > a at once
+                rest = mats[a + 1:]
+                assert np.array_equal(mats[a] @ rest, rest @ mats[a]), \
+                    (k, n, a)
 
 
 def _mult_matrix_loop(c, table):
@@ -396,6 +403,10 @@ class TestPositivity:
                                          spectral_of, monkeypatch):
         ctx = ctx_of(3, 6)
         c = 100 * random_integer_classes(ctx, 1, seed=5)[0]
+        # the eigenvalue gate judges only matrices the exact certificate
+        # leaves open
+        monkeypatch.setattr(spectrum, "_gram_certified",
+                            lambda mat, m_c: False)
         eigvalsh = np.linalg.eigvalsh
         for shift, reported in [(1e-12, False), (1e-6, True)]:
             def shifted(a, shift=shift):
@@ -409,6 +420,49 @@ class TestPositivity:
             issues = [i for f in report.failures for i in f["issues"]]
             assert [i.startswith("minimum eigenvalue") for i in issues] == \
                 ([True] if reported else []), shift
+
+    def test_certificate_covers_every_class(self, ctx_of, table_of,
+                                            spectral_of, monkeypatch):
+        def refused(a):
+            raise AssertionError("a certified class reached eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        for k, n in all_contexts(8):
+            ctx = ctx_of(k, n)
+            classes = [basis_class(ctx, lam) for lam in ctx.basis]
+            classes += random_integer_classes(ctx, 20, seed=n)
+            report = verify_positivity(ctx, classes,
+                                       spectral=spectral_of(k, n),
+                                       table=table_of(k, n))
+            assert report.ok and report.checked == len(classes), (k, n)
+
+    def test_failed_identity_falls_back_to_float_gates(
+            self, ctx_of, table_of, spectral_of, monkeypatch):
+        ctx, table, sd = ctx_of(3, 6), table_of(3, 6), spectral_of(3, 6)
+        # raise the coefficient of (3,2,1) in (1) * (3,1,1)
+        p = _pair_index(ctx.dim, *sorted([ctx.rank((1, 0, 0)),
+                                          ctx.rank((3, 1, 1))]))
+        lo, hi = table.indptr[p:p + 2].tolist()
+        coeffs = table.coeffs.copy()
+        coeffs[lo + table.targets[lo:hi].tolist().index(
+            ctx.rank((3, 2, 1)))] += 1
+        bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+        certified = spectrum._gram_certified
+        refused = []
+
+        def counted(mat, m_c):
+            ok = certified(mat, m_c)
+            refused.append(not ok)
+            return ok
+
+        monkeypatch.setattr(spectrum, "_gram_certified", counted)
+        classes = [basis_class(ctx, lam) for lam in ctx.basis]
+        classes += random_integer_classes(ctx, 5, seed=6)
+        report = verify_positivity(ctx, classes, spectral=sd, table=bad)
+        assert any(refused)
+        assert report.failures == _positivity_reference(ctx, classes, sd, bad)
+        assert any(issue.startswith("minimum eigenvalue")
+                   for f in report.failures for issue in f["issues"])
 
     def test_perturbed_character_is_reported(self, ctx_of, table_of,
                                              spectral_of):
