@@ -22,8 +22,8 @@ The structure table of all basis products is built by Pieri
 inversion (build_table) from the whole matrices: the matrix of
 multiplication by a diagram is its first row's Pieri matrix applied
 to the matrix of the rest of the diagram, minus matrices of diagrams
-met earlier in the basis order.  The table is stored as integer
-arrays.
+met earlier in the basis order.  The table keeps these matrices as
+they are built, as integer arrays.
 
 A single product (mul, gw) expands one factor by the Giambelli
 determinant in single-row classes (valid verbatim in the quantum ring)
@@ -295,45 +295,35 @@ def _flat_ranges(starts, widths):
         + np.arange(widths.sum())
 
 
-def _pair_index(dim, ra, rb):
-    """Position of the unordered pair ra <= rb in triu_indices(dim) order.
-
-    Works elementwise on integer arrays as well as on ints.
-    """
-    return ra * dim - ra * (ra - 1) // 2 + rb - ra
-
-
 class StructureTable:
-    """All pairwise basis products of one context, as integer arrays.
+    """All ordered basis products of one context, as integer arrays.
 
-    Unordered rank pairs ra <= rb are numbered row by row, in the order
-    of numpy.triu_indices(dim).  The product of pair p has the terms
-    targets[indptr[p]:indptr[p + 1]] (ranks, increasing) with the
-    coefficients at the same positions of coeffs.  The arrays are not
-    to be modified: the ordered-pair index built from them on first use
-    is kept.
+    The ordered rank pair (r, j) is numbered p = r * dim + j.  The
+    product basis[r] * basis[j] has the terms at positions
+    ptr[p]:ptr[p + 1], the term coeff[i] * basis[t] stored with
+    key[i] = j * dim + t, targets increasing.  So the terms of
+    basis[r] times every diagram, its multiplication matrix M_r, are
+    the one slice ptr[r * dim]:ptr[r * dim + dim], in key order.  The
+    arrays are not to be modified.
     """
 
-    __slots__ = ("ctx", "indptr", "targets", "coeffs", "_ordered")
+    __slots__ = ("ctx", "ptr", "key", "coeff")
 
-    def __init__(self, ctx, indptr, targets, coeffs):
+    def __init__(self, ctx, ptr, key, coeff):
         self.ctx = ctx
-        self.indptr = indptr
-        self.targets = targets
-        self.coeffs = coeffs
-        self._ordered = None
+        self.ptr = ptr
+        self.key = key
+        self.coeff = coeff
 
     def product_ranks(self, ra, rb):
         """(rank, coefficient) pairs of basis[ra] * basis[rb], by rank."""
-        if ra > rb:
-            ra, rb = rb, ra
-        if ra < 0 or rb >= self.ctx.dim:
+        dim = self.ctx.dim
+        if not (0 <= ra < dim and 0 <= rb < dim):
             raise IndexError(f"rank pair ({ra}, {rb}) outside the basis "
                              f"of {self.ctx}")
-        p = _pair_index(self.ctx.dim, ra, rb)
-        lo, hi = self.indptr[p:p + 2].tolist()
-        return tuple(zip(self.targets[lo:hi].tolist(),
-                         self.coeffs[lo:hi].tolist()))
+        lo, hi = self.ptr[ra * dim + rb:ra * dim + rb + 2].tolist()
+        return tuple(zip((self.key[lo:hi] - rb * dim).tolist(),
+                         self.coeff[lo:hi].tolist()))
 
     def pair_products(self, ra, rb, weight):
         """Terms of weight[i] * basis[ra[i]] * basis[rb[i]] for every i.
@@ -345,46 +335,19 @@ class StructureTable:
         Raises OverflowError where a weighted coefficient could wrap.
         """
         import numpy as np
-        p = _pair_index(self.ctx.dim, np.minimum(ra, rb), np.maximum(ra, rb))
-        lo = self.indptr[p]
-        width = self.indptr[p + 1] - lo
+        dim = self.ctx.dim
+        p = ra * dim + rb
+        lo = self.ptr[p]
+        width = self.ptr[p + 1] - lo
         pos = _flat_ranges(lo, width)
-        coeff = self.coeffs[pos].astype(np.int64)
+        coeff = self.coeff[pos].astype(np.int64)
         weight = np.repeat(weight, width)
         if int(np.abs(weight).max(initial=0)) \
                 * int(np.abs(coeff).max(initial=0)) >= _INT64_BOUND:
             raise OverflowError("weighted structure constant exceeds the "
                                 "int64 range")
         return (np.repeat(np.arange(len(p)), width),
-                self.targets[pos].astype(np.int64), weight * coeff)
-
-    def _ordered_index(self):
-        """Every term of every ordered pair, grouped by the first factor.
-
-        Returns (ptr, key, coeff): the terms of basis[r] * basis[j], j
-        any rank, sit at positions ptr[r]:ptr[r + 1], the term
-        coeff[i] * basis[t] of column j stored with key[i] = t * dim + j.
-        Built on first use and kept, so a table that only answers
-        product_ranks never pays for it.
-        """
-        import numpy as np
-        if self._ordered is None:
-            dim = self.ctx.dim
-            first = np.repeat(np.arange(dim), dim)
-            col = np.tile(np.arange(dim), dim)
-            p = _pair_index(dim, np.minimum(first, col),
-                            np.maximum(first, col))
-            lo = self.indptr[p]
-            width = self.indptr[p + 1] - lo
-            pos = _flat_ranges(lo, width)
-            ptr = np.zeros(dim + 1, dtype=np.int64)
-            np.cumsum(width.reshape(dim, dim).sum(axis=1), out=ptr[1:])
-            key_type = np.int32 if dim * dim <= 2 ** 31 else np.int64
-            key = (self.targets[pos] * dim
-                   + np.repeat(col, width)).astype(key_type, copy=False)
-            self._ordered = (ptr, key,
-                             self.coeffs[pos].astype(np.int32, copy=False))
-        return self._ordered
+                (self.key[pos] % dim).astype(np.int64), weight * coeff)
 
     def matrix(self, vec):
         """Integer matrix of multiplication by a class, given by rank.
@@ -395,7 +358,7 @@ class StructureTable:
         """
         import numpy as np
         dim = self.ctx.dim
-        ptr, key, coeff = self._ordered_index()
+        ptr, key, coeff = self.ptr[::dim], self.key, self.coeff
         ranks = np.flatnonzero(vec)
         width = ptr[ranks + 1] - ptr[ranks]
         mat = np.zeros(dim * dim, dtype=np.int64)
@@ -406,23 +369,22 @@ class StructureTable:
         else:
             pos = _flat_ranges(ptr[ranks], width)
             np.add.at(mat, key[pos], np.repeat(vec[ranks], width) * coeff[pos])
-        return mat.reshape(dim, dim)
+        return mat.reshape(dim, dim).T
 
     def basis_matrix(self, rank):
         """Integer matrix of multiplication by basis[rank]."""
         import numpy as np
         dim = self.ctx.dim
-        ptr, key, coeff = self._ordered_index()
-        seg = slice(ptr[rank], ptr[rank + 1])
+        seg = slice(self.ptr[rank * dim], self.ptr[rank * dim + dim])
         mat = np.zeros(dim * dim, dtype=np.int64)
-        mat[key[seg]] = coeff[seg]    # one term per (target, column)
-        return mat.reshape(dim, dim)
+        mat[self.key[seg]] = self.coeff[seg]    # one term per (column, target)
+        return mat.reshape(dim, dim).T
 
     def __eq__(self, other):
         import numpy as np
         return (isinstance(other, StructureTable) and self.ctx == other.ctx
                 and all(np.array_equal(getattr(self, f), getattr(other, f))
-                        for f in ("indptr", "targets", "coeffs")))
+                        for f in ("ptr", "key", "coeff")))
 
 
 # largest magnitude a stored structure constant may reach
@@ -460,7 +422,8 @@ def build_table(ctx):
     The unit's matrix is the identity.  Each M_lam is kept sparse, as
     flat indices j * dim + t (column j, target t) with their values, and
     summed in a dense integer scratch vector of dim^2 entries, whose
-    nonzero entries come out in index order.
+    nonzero entries come out in index order.  The table stores these
+    matrices as they are, one after another, every column included.
 
     Every stored constant is checked: positive, of degree at most the
     pair's total and congruent to it mod n; anything else raises
@@ -471,25 +434,26 @@ def build_table(ctx):
     dim, n = ctx.dim, ctx.n
     deg = np.array([degree(lam) for lam in ctx.basis])
     pieri = {r: _pieri_matrix(ctx, r) for r in range(1, ctx.k + 1)}
+    key_type = np.int32 if dim * dim <= 2 ** 31 else np.int64
 
     # stored magnitudes stay below _COEFF_BOUND, so int32 holds them and
     # each step's sums, at most 2 * dim of them, stay exact in int64;
     # acc is the dense scratch of one step, all zero between steps
     acc = np.zeros(dim * dim, dtype=np.int64)
     mats = [None] * dim
-    mats[0] = (np.arange(dim, dtype=np.int64) * (dim + 1),
-               np.ones(dim, dtype=np.int32))
-    counts, targets, coeffs = [], [], []
+    counts = []
     for ra in range(dim):
         lam = ctx.basis[ra]
-        if ra:
+        if not ra:
+            key, val = np.arange(dim) * (dim + 1), np.ones(dim, np.int64)
+        else:
             rest = ctx.rank(lam[1:] + (0,))
             key, val = mats[rest]
-            col, t = np.divmod(key, dim)
+            col, t = np.divmod(key.astype(np.int64), dim)
             ptr, tgt = pieri[lam[0]]
             width = ptr[t + 1] - ptr[t]
             image = tgt[_flat_ranges(ptr[t], width)]
-            # int64 values keep np.add.at on its fast path
+            # int64 indices and values keep np.add.at on its fast path
             np.add.at(acc, np.repeat(col, width) * dim + image,
                       np.repeat(val.astype(np.int64), width))
             # the strips nu are the targets of lam's degree in the Pieri
@@ -505,28 +469,21 @@ def build_table(ctx):
             if np.abs(val).max(initial=0) >= _COEFF_BOUND:
                 raise OverflowError(f"structure constant of {lam} exceeds "
                                     "the safe integer bound")
-            mats[ra] = (key, val.astype(np.int32))
-        # the columns j >= ra are the unordered pairs (ra, j), in order
-        key, val = mats[ra]
-        lo = np.searchsorted(key, ra * dim)
-        col, t = np.divmod(key[lo:], dim)
-        c = val[lo:]
-        total = deg[ra] + deg[col]
-        bad = np.flatnonzero((c <= 0) | (deg[t] > total)
-                             | ((total - deg[t]) % n != 0))
+        col, t = np.divmod(key, dim)
+        gap = deg[ra] + deg[col] - deg[t]
+        bad = np.flatnonzero((val <= 0) | (gap < 0) | (gap % n != 0))
         if bad.size:
             i = bad[0]
             raise ArithmeticError(
-                f"invalid structure constant {c[i]} at {ctx.basis[t[i]]}"
+                f"invalid structure constant {val[i]} at {ctx.basis[t[i]]}"
                 f" in product {lam} * {ctx.basis[col[i]]}")
-        counts.append(np.bincount(col - ra, minlength=dim - ra))
-        targets.append(t)
-        coeffs.append(c)
+        counts.append(np.bincount(col, minlength=dim))
+        mats[ra] = (key.astype(key_type), val.astype(np.int32))
 
-    indptr = np.zeros(dim * (dim + 1) // 2 + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return StructureTable(ctx, indptr, np.concatenate(targets),
-                          np.concatenate(coeffs))
+    ptr = np.zeros(dim * dim + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=ptr[1:])
+    return StructureTable(ctx, ptr, np.concatenate([m[0] for m in mats]),
+                          np.concatenate([m[1] for m in mats]))
 
 
 def _pieri_apply(ctx):
@@ -606,10 +563,11 @@ def verify_commutativity(ctx, table=None):
     determinant, so they exercise genuinely different code paths.  Each
     diagram's expansion runs once over all columns (_giambelli_matrices)
     and must equal the diagram's multiplication matrix in the table,
-    built here when none is given.  That matrix carries both orders of
-    every pair, so both orientations are held to it.  Only pairs that
-    disagree are recomputed per pair, to write their failure records:
-    one for two orientations that differ, one for a table that differs.
+    built here when none is given.  The table stores both orders of
+    every pair, and each order is held to the expansion of its first
+    factor.  Only pairs that disagree are recomputed per pair, to write
+    their failure records: one for two orientations that differ, one
+    for each order whose stored product differs from its expansion.
     """
     import numpy as np
     if table is None:
@@ -619,20 +577,25 @@ def verify_commutativity(ctx, table=None):
         diff = (g != table.basis_matrix(ra)).any(axis=0)
         suspects.update((min(ra, rb), max(ra, rb))
                         for rb in np.flatnonzero(diff).tolist())
+
+    def names(*ranks):
+        return [list(trim(ctx.basis[r])) for r in ranks]
+
     failures = []
     for ra, rb in sorted(suspects):
-        pair = [list(trim(ctx.basis[ra])), list(trim(ctx.basis[rb]))]
         ab = _product_via_giambelli(ctx, ra, rb)
         ba = _product_via_giambelli(ctx, rb, ra)
         if ab != ba:
-            failures.append({"pair": pair,
+            failures.append({"pair": names(ra, rb),
                              "lhs": terms_json(CohomClass(ctx, ab)),
                              "rhs": terms_json(CohomClass(ctx, ba))})
-        if dict(table.product_ranks(ra, rb)) != ab:
-            failures.append({"pair": pair,
-                             "table": terms_json(CohomClass(
-                                 ctx, dict(table.product_ranks(ra, rb)))),
-                             "giambelli": terms_json(CohomClass(ctx, ab))})
+        for (x, y), expanded in {(ra, rb): ab, (rb, ra): ba}.items():
+            stored = dict(table.product_ranks(x, y))
+            if stored != expanded:
+                failures.append({"pair": names(x, y),
+                                 "table": terms_json(CohomClass(ctx, stored)),
+                                 "giambelli": terms_json(
+                                     CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("commutativity", ctx.k, ctx.n,
                         ctx.dim * (ctx.dim + 1) // 2, failures)

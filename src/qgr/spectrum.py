@@ -94,12 +94,8 @@ class SpectralPoint:
 class SpectralData:
     ctx: object
     residual_tol: float
-    characters: np.ndarray      # points x dim, read-only
+    characters: np.ndarray      # points x dim complex values, read-only
     points: tuple
-
-    def character_matrix(self):
-        """points x dim complex matrix of character values."""
-        return self.characters
 
 
 def _complete(x, top):
@@ -201,7 +197,7 @@ def evaluate(a, spectral):
     """Values of a class at every point, as a complex vector."""
     if a.ctx != spectral.ctx:
         raise ValueError(f"context mismatch: {a.ctx} vs {spectral.ctx}")
-    return spectral.character_matrix() @ _coeff_vector(a, np.float64)
+    return spectral.characters @ _coeff_vector(a, np.float64)
 
 
 def conjugation_point_permutation(spectral, tol=CONJUGATION_TOL):
@@ -227,7 +223,7 @@ def verify_conjugation(ctx, tol=CONJUGATION_TOL, spectral=None):
     if spectral is None:
         spectral = joint_eigenbasis(ctx)
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
-    chars = spectral.character_matrix()
+    chars = spectral.characters
     dev = np.abs(chars[:, bar_rank] - chars.conj())
     failures = [{"point": p, "lam": list(trim(ctx.basis[rank])),
                  "deviation": float(dev[p, rank])}
@@ -325,7 +321,7 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
-    magnitudes = np.abs(spectral.character_matrix())
+    magnitudes = np.abs(spectral.characters)
     failures = []
     for i, c in enumerate(classes):
         issues = _positivity_issues(c, bar_rank, spectral, magnitudes,
@@ -345,7 +341,7 @@ def verify_vanishing(ctx, classes=None, tol=1e-7, spectral=None):
         spectral = joint_eigenbasis(ctx)
     if classes is None:
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
-    chars = spectral.character_matrix()
+    chars = spectral.characters
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
     checked = 0
@@ -374,7 +370,7 @@ def random_integer_classes(ctx, count, seed=DEFAULT_SEED, bound=5):
 def spectrum_json_dict(spectral):
     """The documented JSON form of a spectrum."""
     ctx = spectral.ctx
-    chars = spectral.character_matrix()
+    chars = spectral.characters
     doc = {"k": ctx.k, "n": ctx.n,
            "points": [{"coords": [[z.real, z.imag] for z in p.coords],
                        "residual": p.residual}

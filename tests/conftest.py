@@ -60,3 +60,31 @@ def with_extra_targets(matrix, extra):
     out = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(row) for row in rows], out=out[1:])
     return out, np.array([t for row in rows for t in row], dtype=np.int32)
+
+
+def with_terms(table, changes):
+    """A copy of a structure table with terms of ordered pairs changed.
+
+    changes maps (ra, rb, target) to an amount added to the coefficient
+    of basis[target] in basis[ra] * basis[rb]; a term that reaches 0 is
+    dropped, and a missing one is added.  Only that order of the pair
+    changes.
+    """
+    import numpy as np
+    from qgr import StructureTable
+    dim = table.ctx.dim
+    changed = {}
+    for (ra, rb, target), delta in changes.items():
+        terms = changed.setdefault((ra, rb), dict(table.product_ranks(ra, rb)))
+        terms[target] = terms.get(target, 0) + delta
+    ptr, key, coeff = [0], [], []
+    for ra in range(dim):
+        for rb in range(dim):
+            terms = changed.get((ra, rb), dict(table.product_ranks(ra, rb)))
+            items = sorted((t, c) for t, c in terms.items() if c)
+            key += [rb * dim + t for t, _ in items]
+            coeff += [c for _, c in items]
+            ptr.append(len(key))
+    return StructureTable(table.ctx, np.array(ptr, dtype=np.int64),
+                          np.array(key, dtype=table.key.dtype),
+                          np.array(coeff, dtype=table.coeff.dtype))

@@ -8,10 +8,9 @@ from qgr.involution import (bar, verify_dual_product_identity,
                             verify_involution_factorization,
                             verify_product_automorphism)
 from qgr.partitions import GrassmannContext, degree, poincare_dual, trim
-from qgr.quantum import (StructureTable, _pair_index, c_apply,
-                         quantum_pieri_invariant, quantum_product)
+from qgr.quantum import c_apply, quantum_pieri_invariant, quantum_product
 
-from conftest import all_contexts
+from conftest import all_contexts, with_terms
 
 
 class TestBar:
@@ -216,11 +215,20 @@ def _invariant_duality_reference(ctx, table, samples, seed):
     return failures
 
 
-def _corrupted(table, index):
-    """A copy of the table with one stored coefficient raised by 1."""
-    coeffs = table.coeffs.copy()
-    coeffs[index] += 1
-    return StructureTable(table.ctx, table.indptr, table.targets, coeffs)
+def _stored_terms(table):
+    """(ra, rb, target) of every term of a pair ra <= rb, in rank order."""
+    dim = table.ctx.dim
+    return [(ra, rb, t) for ra in range(dim) for rb in range(ra, dim)
+            for t, _ in table.product_ranks(ra, rb)]
+
+
+def _corrupted(table, term):
+    """A copy of the table with the coefficient of one term raised by 1.
+
+    term is (ra, rb, target); both orders of the pair change.
+    """
+    ra, rb, t = term
+    return with_terms(table, {(ra, rb, t): 1, (rb, ra, t): 1})
 
 
 def _automorphism_reference(ctx, table):
@@ -290,7 +298,8 @@ class TestFailureRecords:
     def test_product_automorphism(self, ctx_of, table_of):
         for k, n in self.CONTEXTS:
             ctx, table = ctx_of(k, n), table_of(k, n)
-            bad = _corrupted(table, len(table.coeffs) // 3)
+            terms = _stored_terms(table)
+            bad = _corrupted(table, terms[len(terms) // 3])
             report = verify_product_automorphism(ctx, table=bad)
             expected = _automorphism_reference(ctx, bad)
             assert expected and report.failures == expected, (k, n)
@@ -304,9 +313,8 @@ class TestFailureRecords:
             for r in range(1, k + 1):
                 (t, _), = bar(row_class(ctx, r)).sorted_terms()
                 read.add(ctx.rank(poincare_dual(ctx.basis[t], k)))
-            index = next(i for i, t in enumerate(table.targets.tolist())
-                         if t in read)
-            bad = _corrupted(table, index)
+            bad = _corrupted(table, next(term for term in _stored_terms(table)
+                                         if term[2] in read))
             report = verify_duality_identities(ctx, table=bad)
             expected = _row_invariant_reference(ctx, bad)
             assert expected and report.failures == expected, (k, n)
@@ -315,7 +323,8 @@ class TestFailureRecords:
     def test_dual_product_identity(self, ctx_of, table_of):
         for k, n in self.CONTEXTS:
             ctx, table = ctx_of(k, n), table_of(k, n)
-            bad = _corrupted(table, len(table.coeffs) // 2)
+            terms = _stored_terms(table)
+            bad = _corrupted(table, terms[len(terms) // 2])
             report = verify_dual_product_identity(ctx, samples=0, table=bad)
             expected = _dual_product_reference(ctx, bad)
             assert expected and report.failures == expected, (k, n)
@@ -329,13 +338,10 @@ class TestFailureRecords:
             rng = random.Random(k * n)
             while True:
                 ra, rb, rc = (rng.randrange(ctx.dim) for _ in range(3))
-                p = _pair_index(ctx.dim, min(ra, rc), max(ra, rc))
-                lo, hi = table.indptr[p:p + 2].tolist()
-                found = table.targets[lo:hi].tolist()
                 dual_b = ctx.rank(poincare_dual(ctx.basis[rb], k))
-                if dual_b in found:
+                if dual_b in dict(table.product_ranks(ra, rc)):
                     break
-            bad = _corrupted(table, lo + found.index(dual_b))
+            bad = _corrupted(table, (ra, rc, dual_b))
             report = verify_dual_product_identity(ctx, samples=1000,
                                                   seed=k * n, table=bad)
             failures = [f for f in report.failures

@@ -12,7 +12,7 @@ from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            point_class, row_class, terms_json, unit_class,
                            zero_class)
 from qgr.partitions import GrassmannContext, degree, poincare_dual, trim
-from qgr.quantum import (GWRecord, StructureTable, _basis_product,
+from qgr.quantum import (GWRecord, _basis_product,
                          _giambelli_matrices, _product_via_giambelli,
                          build_table, c_apply, giambelli_expand,
                          gw_invariant, gw_record, quantum_pieri_invariant,
@@ -21,7 +21,7 @@ from qgr.quantum import (GWRecord, StructureTable, _basis_product,
                          verify_cyclic, verify_giambelli, verify_grading,
                          verify_pieri_consistency)
 
-from conftest import all_contexts, with_extra_targets
+from conftest import all_contexts, with_extra_targets, with_terms
 
 
 class TestPieriInvariant:
@@ -211,18 +211,31 @@ class TestRingSuites:
         ctx, table = ctx_of(2, 4), table_of(2, 4)
         plain = verify_commutativity(ctx)
         assert verify_commutativity(ctx, table=table) == plain
-        coeffs = table.coeffs.copy()
-        coeffs[-1] += 1
-        bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+        point = ctx.rank((2, 2))
+        bad = with_terms(table, {(point, point, 0): 1})
         report = verify_commutativity(ctx, table=bad)
         assert report.checked == plain.checked
         assert [f["pair"] for f in report.failures] == [[[2, 2], [2, 2]]]
         assert report.failures[0]["table"] == [{"p": [], "c": 2}]
         assert report.failures[0]["giambelli"] == [{"p": [], "c": 1}]
 
+    def test_commutativity_checks_each_order(self, ctx_of, table_of):
+        ctx, table = ctx_of(2, 4), table_of(2, 4)
+        a, b = ctx.rank((1, 0)), ctx.rank((2, 0))
+        # (2) * (1) gains a second (2,1); (1) * (2) is left as it is
+        bad = with_terms(table, {(b, a, ctx.rank((2, 1))): 1})
+        report = verify_commutativity(ctx, table=bad)
+        assert report.failures == [{"pair": [[2], [1]],
+                                    "table": [{"p": [2, 1], "c": 2}],
+                                    "giambelli": [{"p": [2, 1], "c": 1}]}]
+        assert report.failures == _commutativity_reference(ctx, bad)
+
 
 def _commutativity_reference(ctx, table):
-    """Failures of verify_commutativity against a table, pair by pair."""
+    """Failures of verify_commutativity against a table, pair by pair.
+
+    The table is read in both orders of each pair.
+    """
     failures = []
     for ra in range(ctx.dim):
         for rb in range(ra, ctx.dim):
@@ -233,11 +246,16 @@ def _commutativity_reference(ctx, table):
                 failures.append({"pair": pair,
                                  "lhs": terms_json(CohomClass(ctx, ab)),
                                  "rhs": terms_json(CohomClass(ctx, ba))})
-            stored = dict(table.product_ranks(ra, rb))
-            if stored != ab:
-                failures.append({"pair": pair,
-                                 "table": terms_json(CohomClass(ctx, stored)),
-                                 "giambelli": terms_json(CohomClass(ctx, ab))})
+            orders = [(ra, rb, ab)] if ra == rb else [(ra, rb, ab),
+                                                      (rb, ra, ba)]
+            for x, y, expanded in orders:
+                stored = dict(table.product_ranks(x, y))
+                if stored != expanded:
+                    failures.append({
+                        "pair": [list(trim(ctx.basis[x])),
+                                 list(trim(ctx.basis[y]))],
+                        "table": terms_json(CohomClass(ctx, stored)),
+                        "giambelli": terms_json(CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
     return failures
 
@@ -281,22 +299,30 @@ class TestCommutativityFailureRecords:
 
         def corrupted(ctx, r):
             # (1) times (2) gains (1,1,1): of the right degree, so the
-            # build accepts it, and only the table sees it
+            # build accepts it at G(2,5), and only the table sees it
             matrix = pieri_matrix(ctx, r)
             extra = {ctx.rank((2, 0, 0)): (ctx.rank((1, 1, 1)),)}
             return with_extra_targets(matrix, extra) if r == 1 else matrix
 
-        for k, n in [(2, 5), (3, 6)]:
-            ctx = GrassmannContext(k, n)
-            with monkeypatch.context() as patch:
-                patch.setattr(quantum, "_pieri_matrix", corrupted)
-                table = build_table(ctx)
-            assert table != build_table(ctx)
-            report = verify_commutativity(ctx, table=table)
-            expected = _commutativity_reference(ctx, table)
-            assert {tuple(sorted(f)) for f in expected} == \
-                {("giambelli", "pair", "table")}, (k, n)
-            assert report.failures == expected, (k, n)
+        ctx = GrassmannContext(2, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_pieri_matrix", corrupted)
+            table = build_table(ctx)
+        assert table != build_table(ctx)
+        report = verify_commutativity(ctx, table=table)
+        expected = _commutativity_reference(ctx, table)
+        assert {tuple(sorted(f)) for f in expected} == \
+            {("giambelli", "pair", "table")}
+        assert report.failures == expected
+
+        # at G(3,6) the same row makes a later column of the build
+        # negative, and every column is checked
+        monkeypatch.setattr(quantum, "_pieri_matrix", corrupted)
+        with pytest.raises(ArithmeticError,
+                           match=r"invalid structure constant -1 at "
+                                 r"\(0, 0, 0\) in product \(2, 2, 0\) \* "
+                                 r"\(2, 0, 0\)"):
+            build_table(GrassmannContext(3, 6))
 
 
 class TestCommutativityMemory:
@@ -348,11 +374,16 @@ def _grading_reference(ctx, table):
 
 
 def _stored_terms(ctx, table):
-    """(pair's first rank, pair's second rank, target) of every term."""
-    ra, rb = np.triu_indices(ctx.dim)
-    width = np.diff(table.indptr)
-    return zip(np.repeat(ra, width).tolist(), np.repeat(rb, width).tolist(),
-               table.targets.tolist())
+    """(ra, rb, target, coefficient) of every term of a pair ra <= rb."""
+    return [(ra, rb, t, c) for ra in range(ctx.dim)
+            for rb in range(ra, ctx.dim)
+            for t, c in table.product_ranks(ra, rb)]
+
+
+def _both_orders(ra, rb, changes):
+    """with_terms changes {target: amount} for both orders of a pair."""
+    return {(x, y, t): d for x, y in [(ra, rb), (rb, ra)]
+            for t, d in changes.items()}
 
 
 class TestGradingFailureRecords:
@@ -370,29 +401,23 @@ class TestGradingFailureRecords:
         for k, n in self.CONTEXTS:
             ctx, table = ctx_of(k, n), table_of(k, n)
             deg = [degree(lam) for lam in ctx.basis]
-            top = [i for i, (ra, rb, t) in
-                   enumerate(_stored_terms(ctx, table))
+            top = [(ra, rb, t) for ra, rb, t, _ in _stored_terms(ctx, table)
                    if deg[t] == deg[ra] + deg[rb]]
-            coeffs = table.coeffs.copy()
-            coeffs[top[len(top) // 2]] += 1
-            self._check(ctx, StructureTable(ctx, table.indptr,
-                                            table.targets, coeffs))
+            ra, rb, t = top[len(top) // 2]
+            self._check(ctx, with_terms(table, _both_orders(ra, rb, {t: 1})))
 
     def test_corrupted_target(self, ctx_of, table_of):
         for k, n in self.CONTEXTS:
             ctx, table = ctx_of(k, n), table_of(k, n)
             deg = [degree(lam) for lam in ctx.basis]
-            index = len(table.targets) // 2
-            ra, rb, t = list(_stored_terms(ctx, table))[index]
+            terms = _stored_terms(ctx, table)
+            ra, rb, t, c = terms[len(terms) // 2]
             # move the term one degree up, onto a rank its pair lacks
-            p = quantum._pair_index(ctx.dim, ra, rb)
-            present = table.targets[table.indptr[p]:table.indptr[p + 1]]
+            present = dict(table.product_ranks(ra, rb))
             moved = next(r for r in ctx.ranks_by_degree[deg[t] + 1]
                          if r not in present)
-            targets = table.targets.copy()
-            targets[index] = moved
-            self._check(ctx, StructureTable(ctx, table.indptr, targets,
-                                            table.coeffs))
+            self._check(ctx, with_terms(
+                table, _both_orders(ra, rb, {t: -c, moved: c})))
 
 
 def _associativity_reference(ctx, table, samples, seed):
@@ -420,9 +445,9 @@ class TestAssociativityFailureRecords:
     def test_corrupted_coefficient(self, ctx_of, table_of):
         for k, n in [(2, 5), (3, 6), (3, 7)]:
             ctx, table = ctx_of(k, n), table_of(k, n)
-            coeffs = table.coeffs.copy()
-            coeffs[len(coeffs) // 3] += 1
-            bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+            terms = _stored_terms(ctx, table)
+            ra, rb, t, _ = terms[len(terms) // 3]
+            bad = with_terms(table, _both_orders(ra, rb, {t: 1}))
             report = verify_associativity(ctx, samples=1000, seed=k * n,
                                           table=bad)
             expected = _associativity_reference(ctx, bad, 1000, k * n)
@@ -443,8 +468,10 @@ class TestAssociativityFailureRecords:
 
     def test_overflow_raises(self, ctx_of, table_of):
         ctx, table = ctx_of(2, 4), table_of(2, 4)
-        huge = np.full_like(table.coeffs, 2 ** 31 - 1, dtype=np.int64)
-        bad = StructureTable(ctx, table.indptr, table.targets, huge)
+        bad = with_terms(table, {(ra, rb, t): 2 ** 31 - 1 - c
+                                 for ra in range(ctx.dim)
+                                 for rb in range(ctx.dim)
+                                 for t, c in table.product_ranks(ra, rb)})
         with pytest.raises(OverflowError):
             verify_associativity(ctx, samples=10, table=bad)
         one = np.array([0])
@@ -513,7 +540,7 @@ class TestCyclicOperator:
 
 class TestStructureTable:
     def test_g24_pair_count(self, table_of):
-        assert len(table_of(2, 4).indptr) - 1 == 21
+        assert len(table_of(2, 4).ptr) - 1 == 36
 
     def test_matches_giambelli_on_every_pair(self, ctx_of, table_of):
         for k, n in all_contexts(7) + [(4, 8)]:
@@ -546,8 +573,8 @@ class TestStructureTable:
 
         monkeypatch.setattr(quantum, "_pieri_matrix", corrupted)
         with pytest.raises(ArithmeticError,
-                           match=r"invalid structure constant 1 at \(1, 0\)"
-                                 r" in product \(1, 0\) \* \(1, 0\)"):
+                           match=r"invalid structure constant 1 at \(0, 0\)"
+                                 r" in product \(1, 0\) \* \(0, 0\)"):
             build_table(GrassmannContext(2, 4))
 
     def test_coefficient_bound_raises(self, monkeypatch):

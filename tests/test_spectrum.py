@@ -11,14 +11,14 @@ from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            row_class, terms_json, unit_class, zero_class)
 from qgr.involution import bar
 from qgr.partitions import GrassmannContext
-from qgr.quantum import StructureTable, _pair_index, quantum_product
+from qgr.quantum import quantum_product
 from qgr.spectrum import (DegenerateSpectrum, conjugation_point_permutation,
                           evaluate, joint_eigenbasis, mult_matrix,
                           random_integer_classes, spectrum_json_dict,
                           verify_conjugation, verify_point_conjugation,
                           verify_positivity, verify_vanishing)
 
-from conftest import all_contexts, with_extra_targets
+from conftest import all_contexts, with_extra_targets, with_terms
 
 
 class TestMultMatrix:
@@ -156,13 +156,13 @@ class TestJointEigenbasis:
 
     def test_unit_character_is_one(self, spectral_of):
         for k, n in [(2, 4), (3, 6)]:
-            chars = spectral_of(k, n).character_matrix()
+            chars = spectral_of(k, n).characters
             assert np.abs(chars[:, 0] - 1).max() < 1e-10
 
     def test_characters_multiplicative(self, ctx_of, table_of, spectral_of):
         for k, n in all_contexts(6):
             ctx, table = ctx_of(k, n), table_of(k, n)
-            chars = spectral_of(k, n).character_matrix()
+            chars = spectral_of(k, n).characters
             for ra in range(ctx.dim):
                 for rb in range(ra, ctx.dim):
                     prod = np.zeros(chars.shape[0], dtype=np.complex128)
@@ -176,7 +176,7 @@ class TestJointEigenbasis:
         s2 = joint_eigenbasis(ctx_of(2, 4))
         for p1, p2 in zip(s1.points, s2.points):
             assert p1.coords == p2.coords and p1.residual == p2.residual
-        assert np.array_equal(s1.character_matrix(), s2.character_matrix())
+        assert np.array_equal(s1.characters, s2.characters)
 
     def test_points_in_subset_order(self, ctx_of, spectral_of):
         for k, n in all_contexts(6):
@@ -184,7 +184,7 @@ class TestJointEigenbasis:
             assert [p.subset for p in sd.points] == \
                 list(itertools.combinations(range(n), n - k))
             assert [p.index for p in sd.points] == list(range(comb(n, k)))
-            assert not sd.character_matrix().flags.writeable
+            assert not sd.characters.flags.writeable
 
     def test_coords_match_generator_eigenvalues(self, ctx_of, table_of,
                                                 spectral_of):
@@ -245,7 +245,7 @@ class TestJointEigenbasis:
         # the closed form stays finite where a Vandermonde of n - 1
         # roots overflows float64 (modulus n^(n/2 - 1), from n = 258)
         sd = joint_eigenbasis(GrassmannContext(1, 300))
-        assert np.isfinite(sd.character_matrix()).all()
+        assert np.isfinite(sd.characters).all()
         assert max(p.residual for p in sd.points) <= 1e-8
         assert verify_point_conjugation(sd.ctx, spectral=sd).ok
 
@@ -302,7 +302,7 @@ class TestConjugation:
     def test_points_map_to_conjugate_subsets(self, spectral_of):
         for k, n in all_contexts(7):
             sd = spectral_of(k, n)
-            chars = sd.character_matrix()
+            chars = sd.characters
             perm = conjugation_point_permutation(sd)
             for p in sd.points:
                 image = sd.points[perm[p.index]]
@@ -314,7 +314,7 @@ class TestConjugation:
 
     def test_perturbed_characters_are_reported(self, ctx_of, spectral_of):
         ctx, sd = ctx_of(2, 4), spectral_of(2, 4)
-        chars = sd.character_matrix().copy()
+        chars = sd.characters.copy()
         # (2) and (1,1) are swapped by bar; move one value at point 4
         chars[4, ctx.rank((2, 0))] += 1e-3
         report = verify_conjugation(
@@ -329,7 +329,7 @@ class TestConjugation:
     def test_nan_values_fail_every_suite(self, ctx_of, table_of,
                                          spectral_of):
         ctx, sd = ctx_of(2, 4), spectral_of(2, 4)
-        chars = sd.character_matrix().copy()
+        chars = sd.characters.copy()
         chars[4, ctx.rank((2, 0))] = np.nan
         p = sd.points[4]
         nan_point = dataclasses.replace(p, coords=(np.nan,) + p.coords[1:])
@@ -440,13 +440,8 @@ class TestPositivity:
             self, ctx_of, table_of, spectral_of, monkeypatch):
         ctx, table, sd = ctx_of(3, 6), table_of(3, 6), spectral_of(3, 6)
         # raise the coefficient of (3,2,1) in (1) * (3,1,1)
-        p = _pair_index(ctx.dim, *sorted([ctx.rank((1, 0, 0)),
-                                          ctx.rank((3, 1, 1))]))
-        lo, hi = table.indptr[p:p + 2].tolist()
-        coeffs = table.coeffs.copy()
-        coeffs[lo + table.targets[lo:hi].tolist().index(
-            ctx.rank((3, 2, 1)))] += 1
-        bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+        a, b, t = (ctx.rank(lam) for lam in [(1, 0, 0), (3, 1, 1), (3, 2, 1)])
+        bad = with_terms(table, {(a, b, t): 1, (b, a, t): 1})
         certified = spectrum._gram_certified
         refused = []
 
@@ -469,7 +464,7 @@ class TestPositivity:
         ctx, sd = ctx_of(2, 4), spectral_of(2, 4)
         s1 = row_class(ctx, 1)
         # s1 * bar(s1) = 1 + (2,2): move the value of (2,2) at point 3
-        chars = sd.character_matrix().copy()
+        chars = sd.characters.copy()
         chars[3, ctx.rank((2, 2))] += 1e-6j
         report = verify_positivity(
             ctx, [s1], spectral=dataclasses.replace(sd, characters=chars),
@@ -480,9 +475,11 @@ class TestPositivity:
                                                spectral_of):
         for k, n in [(2, 4), (2, 5), (3, 6)]:
             ctx, table, sd = ctx_of(k, n), table_of(k, n), spectral_of(k, n)
-            coeffs = table.coeffs.copy()
-            coeffs[len(coeffs) // 3] += 1
-            bad = StructureTable(ctx, table.indptr, table.targets, coeffs)
+            terms = [(ra, rb, t) for ra in range(ctx.dim)
+                     for rb in range(ra, ctx.dim)
+                     for t, _ in table.product_ranks(ra, rb)]
+            ra, rb, t = terms[len(terms) // 3]
+            bad = with_terms(table, {(ra, rb, t): 1, (rb, ra, t): 1})
             classes = [basis_class(ctx, lam) for lam in ctx.basis]
             classes += random_integer_classes(ctx, 5, seed=n)
             report = verify_positivity(ctx, classes, spectral=sd, table=bad)
@@ -493,7 +490,7 @@ class TestPositivity:
 
 def _positivity_reference(ctx, classes, spectral, table, tol=1e-8):
     """Failures of verify_positivity, from per-pair products."""
-    chars = spectral.character_matrix()
+    chars = spectral.characters
     failures = []
     for i, c in enumerate(classes):
         prod = quantum_product(c, bar(c), table=table)
