@@ -18,8 +18,8 @@ import numpy as np
 from .classical import (basis_class, pairing, rank_map, relabel, row_class,
                         terms_json)
 from .partitions import bar_involution, c_shift, poincare_dual, trim
-from .quantum import (DEFAULT_SEED, _seeded_triples, build_table,
-                      gw_invariant, quantum_pieri_invariant, quantum_product)
+from .quantum import (DEFAULT_SEED, _pieri_matrix, _seeded_triples,
+                      build_table, gw_invariant, quantum_product)
 from .reports import VerifyReport
 
 
@@ -83,8 +83,9 @@ def verify_duality_identities(ctx, table=None):
     the row-rule invariant <A, S, (r)> equals the product-computed
     invariant <dual A, dual S, bar (r)>.  The latter is the entry
     M_{dual A}[dual bar (r), dual S] of the table's multiplication
-    matrix, read for all S and r at once per diagram A; the row rule
-    is still evaluated on every triple.  Without a table, one is built.
+    matrix, read for all S and r at once per diagram A.  The former is
+    read off the whole Pieri matrix of (r): it is 1 exactly where dual S
+    lies in the Pieri row of A.  Without a table, one is built.
     """
     if table is None:
         table = build_table(ctx)
@@ -104,9 +105,13 @@ def verify_duality_identities(ctx, table=None):
     # pairing with bar (r) reads the coefficient of dual(bar (r))
     targets = dual_rank[bar_rank[[ctx.rank((r,) + (0,) * (ctx.l - 1))
                                   for r in rows]]]
+    invariant = np.zeros((ctx.k, ctx.dim, ctx.dim), dtype=np.int8)
+    for i, r in enumerate(rows):
+        ptr, tgt = _pieri_matrix(ctx, r)
+        invariant[i, np.repeat(np.arange(ctx.dim), np.diff(ptr)),
+                  dual_rank[tgt]] = 1
     for ra, a in enumerate(ctx.basis):
-        lhs = np.array([[quantum_pieri_invariant(a, s, r, ctx)
-                         for s in ctx.basis] for r in rows])
+        lhs = invariant[:, ra]
         rhs = table.basis_matrix(dual_rank[ra])[np.ix_(targets, dual_rank)]
         checked += lhs.size
         for i, rs in zip(*np.nonzero(lhs != rhs)):

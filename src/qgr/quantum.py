@@ -332,10 +332,17 @@ class StructureTable:
         flat int64 arrays (row, target, coeff): the products of pair i
         are the terms coeff * basis[target] at the positions where
         row == i, pairs in order and each pair's targets increasing.
-        Raises OverflowError where a weighted coefficient could wrap.
+        Raises IndexError for a rank outside the basis, and
+        OverflowError where a weighted coefficient could wrap.
         """
         import numpy as np
         dim = self.ctx.dim
+        outside = np.flatnonzero((ra < 0) | (ra >= dim) | (rb < 0)
+                                 | (rb >= dim))
+        if outside.size:
+            i = outside[0]
+            raise IndexError(f"rank pair ({ra[i]}, {rb[i]}) outside the "
+                             f"basis of {self.ctx}")
         p = ra * dim + rb
         lo = self.ptr[p]
         width = self.ptr[p + 1] - lo
@@ -526,15 +533,34 @@ def _giambelli_matrices(ctx):
     matrix P_{r_m} ... P_{r_1} of each row monomial is memoized and
     built from its prefix's, rows applied first row first as in
     _product_via_giambelli, so no step assumes that the Pieri matrices
-    commute.  The memo lives as long as the generator.
+    commute.  A first pass replays the memo lookups on the row tuples
+    alone and records the last rank that reads each prefix, as its own
+    monomial or as the prefix a missing one is built from; the matrix
+    pass drops each prefix once that rank's G is summed.  Every lookup
+    then finds what it would find with nothing dropped, so each pass
+    makes the same dim - 1 Pieri applies in the same order, and only
+    the prefixes still to be read stay alive.
     """
     import numpy as np
     apply = _pieri_apply(ctx)
+    expansions = [giambelli_expand(lam, ctx.k) for lam in ctx.basis]
+    # each missing prefix is built from the longest memoized one, which
+    # the replay finds among the prefixes it has seen
+    last = {(): 0}
+    for rank, expansion in enumerate(expansions):
+        for _, rows in expansion:
+            short = len(rows)
+            while rows[:short] not in last:
+                short -= 1
+            for end in range(short, len(rows) + 1):
+                last[rows[:end]] = rank
+    expired = [[] for _ in expansions]
+    for prefix, rank in last.items():
+        expired[rank].append(prefix)
     memo = {(): (np.eye(ctx.dim, dtype=np.int64), 1)}
 
     # not recursive: a closure that calls itself is a reference cycle,
-    # which would keep the memo alive until the cyclic collector runs;
-    # each missing prefix is built from the longest memoized one
+    # which would keep the memo alive until the cyclic collector runs
     def monomial(rows):
         short = len(rows)
         while rows[:short] not in memo:
@@ -544,15 +570,21 @@ def _giambelli_matrices(ctx):
             memo[rows[:end]] = (mat, int(np.abs(mat).max()))
         return memo[rows]
 
-    for rank, lam in enumerate(ctx.basis):
-        terms = [(coeff, monomial(rows))
-                 for coeff, rows in giambelli_expand(lam, ctx.k)]
+    def expand(lam, expansion):
+        terms = [(coeff, monomial(rows)) for coeff, rows in expansion]
         if sum(abs(c) * peak for c, (_, peak) in terms) >= _INT64_BOUND:
             raise OverflowError(f"Giambelli matrix of {lam} exceeds the "
                                 "int64 range")
         g = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
         for coeff, (mat, _) in terms:
             g += coeff * mat
+        return g
+
+    for rank, (lam, expansion) in enumerate(zip(ctx.basis, expansions)):
+        # the helper's frame holds the terms, so they are gone on return
+        g = expand(lam, expansion)
+        for prefix in expired[rank]:
+            del memo[prefix]
         yield rank, g
 
 

@@ -341,10 +341,47 @@ class TestCommutativityMemory:
             tracemalloc.stop()
             gc.enable()
         assert report.ok
-        # the memo held one dim x dim int64 matrix per row monomial, and
-        # none of them may outlive the suite without the cyclic collector
+        # the memo holds a dim x dim int64 matrix for each prefix still
+        # to be read, and none may outlive the suite without the cyclic
+        # collector
         assert peak - before > 10 * matrix_bytes
         assert after - before < matrix_bytes
+
+    def test_peak_bounded_by_live_prefixes(self, ctx_of, table_of):
+        # at most 2 and 18 prefixes are live at once here; a memo that
+        # kept all 59 and 125 until the suite returned peaked at about 64
+        # and 130 matrices
+        for (k, n), bound in [((1, 60), 8), ((4, 9), 30)]:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            verify_commutativity(ctx, table=table)   # fill the caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                report = verify_commutativity(ctx, table=table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.ok
+            assert peak - before < bound * 8 * ctx.dim ** 2, (k, n)
+
+    def test_one_apply_per_prefix(self, ctx_of, monkeypatch):
+        pieri_apply = quantum._pieri_apply
+        calls = []
+
+        def counted(ctx):
+            apply = pieri_apply(ctx)
+
+            def count(r, x):
+                calls.append(r)
+                return apply(r, x)
+            return count
+
+        monkeypatch.setattr(quantum, "_pieri_apply", counted)
+        for k, n in all_contexts(7) + [(4, 9), (1, 30)]:
+            ctx = ctx_of(k, n)
+            calls.clear()
+            assert sum(1 for _ in _giambelli_matrices(ctx)) == ctx.dim
+            assert len(calls) == ctx.dim - 1, (k, n)
 
 
 def _grading_reference(ctx, table):
@@ -558,8 +595,14 @@ class TestStructureTable:
                     assert type(rank) is int and type(c) is int
 
     def test_rank_outside_basis(self, table_of):
+        table = table_of(2, 4)
         with pytest.raises(IndexError):
-            table_of(2, 4).product_ranks(0, 6)
+            table.product_ranks(0, 6)
+        for ra, rb in [([0], [6]), ([6], [0]), ([0, -1], [1, 0]),
+                       ([2, 5], [3, 36])]:
+            with pytest.raises(IndexError):
+                table.pair_products(np.array(ra), np.array(rb),
+                                    np.ones(len(ra), dtype=np.int64))
 
     def test_corrupted_pieri_row_raises(self, monkeypatch):
         pieri_matrix = quantum._pieri_matrix
