@@ -225,9 +225,13 @@ def _lr_count(lam, nu, bound=None):
         # weakly increasing along rows
         hi = m if right is None else min(m, grid[i][right])
         v += 1
-        # lattice word prefix condition, and the content bound
+        # lattice word prefix condition, and the content bound; the
+        # lattice condition keeps counts non-increasing in v, so past the
+        # first v > 1 with counts[v - 1] == 0 no value passes
         while v <= hi and (counts[v] >= caps[v - 1]
                            or v > 1 and counts[v] >= counts[v - 1]):
+            if v > 1 and not counts[v - 1]:
+                v = hi
             v += 1
         if v <= hi:
             counts[v] += 1

@@ -177,6 +177,8 @@ def giambelli_expand(lam, k):
     m = len(rows)
     if m == 0:
         return [(1, ())]
+    # entry (i, j) has length rows[i] + j - i, negative before first[i]
+    first = [max(0, i - r) for i, r in enumerate(rows)]
     acc = {}
     # depth first over the partial permutations, on a stack: a closure
     # that calls itself is a reference cycle, freed only by the cyclic
@@ -188,12 +190,10 @@ def giambelli_expand(lam, k):
             key = tuple(sorted(factors, reverse=True))
             acc[key] = acc.get(key, 0) + sign
             continue
-        for j in range(m):
+        for j in range(first[i], m):
             if used >> j & 1:
                 continue
             e = rows[i] + j - i
-            if e < 0:
-                continue
             if e > k:
                 break  # entries grow with j, the rest of the row vanishes
             flips = (used >> (j + 1)).bit_count()
@@ -428,9 +428,12 @@ def build_table(ctx):
         earlier in the order.
     The unit's matrix is the identity.  Each M_lam is kept sparse, as
     flat indices j * dim + t (column j, target t) with their values, and
-    summed in a dense integer scratch vector of dim^2 entries, whose
-    nonzero entries come out in index order.  The table stores these
-    matrices as they are, one after another, every column included.
+    summed in a dense integer scratch vector of dim^2 entries.  Its
+    nonzero entries are found in index order by a scan of the boolean
+    mask acc != 0, so each diagram costs its Pieri terms plus two passes
+    over dim^2 entries, and the build O(dim^3) however sparse the table.
+    The table stores these matrices as they are, one after another,
+    every column included.
 
     Every stored constant is checked: positive, of degree at most the
     pair's total and congruent to it mod n; anything else raises
@@ -470,7 +473,8 @@ def build_table(ctx):
                 if nu != ra:
                     np.subtract.at(acc, mats[nu][0],
                                    mats[nu][1].astype(np.int64))
-            key = np.flatnonzero(acc)
+            # numpy vectorizes nonzero over bool but not over int64
+            key = np.flatnonzero(acc != 0)
             val = acc[key]
             acc[key] = 0
             if np.abs(val).max(initial=0) >= _COEFF_BOUND:

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from qgr import classical
-from qgr.classical import (CohomClass, _cup_rows, basis_class,
+from qgr.classical import (CohomClass, _cup_rows, _lr_count, basis_class,
                            class_from_parts, classical_pieri, column_class,
                            cup_product, lr_coefficient, pairing, point_class,
                            rank_map, relabel, row_class, unit_class,
@@ -169,6 +169,10 @@ class TestLittlewoodRichardson:
     def test_one_cell_per_box_beyond_the_recursion_limit(self):
         assert lr_coefficient((), (1200,), (1200,)) == 1
         assert lr_coefficient((), (1,) * 1200, (1,) * 1200) == 1
+
+    def test_long_column_ends_each_value_search_early(self):
+        # the one filling puts 1..200 down the column
+        assert _lr_count((), (1,) * 200) == {(1,) * 200: 1}
 
     def test_symmetry_small_scan(self):
         shapes = [p for size in range(7) for p in partitions_of(size)]

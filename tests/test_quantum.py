@@ -127,6 +127,10 @@ class TestGiambelli:
     def test_empty(self):
         assert giambelli_expand((0, 0), 2) == [(1, ())]
 
+    def test_long_column_is_one_monomial(self):
+        # entries (i, j) with j < i - 1 have negative length
+        assert giambelli_expand((1,) * 300, 1) == [(1, (1,) * 300)]
+
     def test_quantum_evaluation_recovers_basis(self, ctx_of):
         for k, n in all_contexts(6):
             assert verify_giambelli(ctx_of(k, n)).ok
@@ -633,3 +637,16 @@ class TestStructureTable:
     def test_build_is_deterministic(self):
         ctx = GrassmannContext(2, 5)
         assert build_table(ctx) == build_table(ctx)
+
+    @pytest.mark.parametrize("n", [2, 5, 60, 200])
+    @pytest.mark.parametrize("column", [True, False])
+    def test_projective_space_closed_form(self, n, column):
+        # G(1, n) and G(n - 1, n) are both projective space, where at
+        # q = 1 sigma_a sigma_b = sigma_{(a + b) mod n}
+        ctx = GrassmannContext(1, n) if column else GrassmannContext(n - 1, n)
+        table = build_table(ctx)
+        of_degree = {degree(lam): r for r, lam in enumerate(ctx.basis)}
+        for a in range(n):
+            for b in range(n):
+                assert table.product_ranks(of_degree[a], of_degree[b]) == \
+                    ((of_degree[(a + b) % n], 1),), (ctx, a, b)
