@@ -181,6 +181,21 @@ def _contains(nu, lam):
                for i in range(len(lam)))
 
 
+def _column_cells(lam, nu):
+    """Number of cells of nu/lam if they lie in one column, else None.
+
+    lam must be padded with zeros to the length of nu.
+    """
+    cells, col = 0, None
+    for a, b in zip(lam, nu):
+        if a != b:
+            if b != a + 1 or col not in (None, a):
+                return None
+            col = a
+            cells += 1
+    return cells
+
+
 def _lr_count(lam, nu, bound=None):
     """Littlewood-Richardson fillings of the skew shape nu/lam, by content.
 
@@ -189,8 +204,24 @@ def _lr_count(lam, nu, bound=None):
     from content (a trimmed partition) to number of fillings.  With a
     partition bound, value v is used at most bound[v - 1] times, so a
     bound with |nu| - |lam| boxes keeps exactly the fillings of that
-    content.  Cells are filled in reading order so the lattice, row and
-    content conditions prune immediately.
+    content.  A shape of m cells in one column has one filling, 1 to m
+    down the column, of content (1^m); any other shape is enumerated by
+    _lr_fillings.
+    """
+    lam = lam + (0,) * (len(nu) - len(lam))
+    m = _column_cells(lam, nu)
+    if m is None:
+        return _lr_fillings(lam, nu, bound)
+    if bound is None or len(bound) >= m and min(bound[:m], default=1) > 0:
+        return {(1,) * m: 1}
+    return {}
+
+
+def _lr_fillings(lam, nu, bound=None):
+    """_lr_count by enumeration: every filling, cell by cell.
+
+    Cells are filled in reading order so the lattice, row and content
+    conditions prune immediately.
     """
     rows = len(nu)
     lam = lam + (0,) * (rows - len(lam))

@@ -16,13 +16,25 @@ class-valued commands to a terms array; verify and spectrum always
 emit JSON reports.  spectrum prints the closed-form points in subset
 order and takes no seed; verify --seed draws the associativity and
 dual-product triples and the random classes of the spectrum suites.
+
+On a POSIX host with more than one CPU, verify --suite all runs the
+spectrum suites in one forked worker while this process runs the ring
+and involution suites; the output is the same byte for byte, and the
+memory is split across the two processes.  Every other suite choice,
+and every other host, runs them in this process through the same
+function.  verify --stats writes each suite's seconds and the process
+that ran it, the table's term count and the peak memory of both
+processes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
+import time
 
 from . import involution, quantum, spectrum
 from .classical import basis_class, terms_json
@@ -103,33 +115,156 @@ def cmd_gw(args):
 SUITES = {"ring", "involution", "spectrum", "all"}
 
 
-def _run_suites(ctx, which, tol, seed):
+def _timed(log, where, fn, *args, **kwargs):
+    """Call fn, logging its name, its seconds and the process it ran in."""
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    log.append(f"{fn.__name__} {time.perf_counter() - start:.4f} s {where}")
+    return out
+
+
+def _ring_suites(ctx, which, seed, table, log):
+    """The ring and involution suites that `which` selects, in order."""
+    def run(fn, **kwargs):
+        return _timed(log, "main", fn, ctx, **kwargs)
+
     reports = []
-    table = quantum.build_table(ctx)
     if which in ("ring", "all"):
-        reports.append(quantum.verify_commutativity(ctx, table=table))
-        reports.append(quantum.verify_associativity(ctx, seed=seed,
-                                                    table=table))
-        reports.append(quantum.verify_grading(ctx, table=table))
-        reports.append(quantum.verify_pieri_consistency(ctx))
-        reports.append(quantum.verify_giambelli(ctx))
-        reports.append(quantum.verify_cyclic(ctx, table=table))
+        reports += [run(quantum.verify_commutativity, table=table),
+                    run(quantum.verify_associativity, seed=seed, table=table),
+                    run(quantum.verify_grading, table=table),
+                    run(quantum.verify_pieri_consistency),
+                    run(quantum.verify_giambelli),
+                    run(quantum.verify_cyclic, table=table)]
     if which in ("involution", "all"):
-        reports.append(involution.verify_involution_factorization(ctx))
-        reports.append(involution.verify_product_automorphism(ctx,
-                                                              table=table))
-        reports.append(involution.verify_duality_identities(ctx, table=table))
-        reports.append(involution.verify_dual_product_identity(ctx, seed=seed,
-                                                               table=table))
+        reports += [run(involution.verify_involution_factorization),
+                    run(involution.verify_product_automorphism, table=table),
+                    run(involution.verify_duality_identities, table=table),
+                    run(involution.verify_dual_product_identity, seed=seed,
+                        table=table)]
+    return reports
+
+
+def _spectrum_suites(ctx, tol, seed, table, log, where):
+    """The spectrum suites, in order; they read nothing else of verify."""
+    def run(fn, *args, **kwargs):
+        return _timed(log, where, fn, ctx, *args, **kwargs)
+
+    spec = run(spectrum.joint_eigenbasis)
+    classes = ([basis_class(ctx, lam) for lam in ctx.basis]
+               + run(spectrum.random_integer_classes, 100, seed=seed))
+    return [run(spectrum.verify_conjugation, spectral=spec),
+            run(spectrum.verify_point_conjugation, spectral=spec),
+            run(spectrum.verify_positivity, classes, tol=tol, spectral=spec,
+                table=table),
+            run(spectrum.verify_vanishing, classes, spectral=spec)]
+
+
+def _spare_cpu():
+    """Whether a forked worker can run beside this process on its own CPU."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in the worker."""
+
+
+def _worker(read_fd, write_fd, part):
+    """Body of the forked worker: pickle part's outcome into the pipe.
+
+    Ends the process with os._exit, so it never returns into the
+    caller's stack and flushes none of the parent's buffers.
+    """
+    status = 1
+    try:
+        import traceback
+        os.close(read_fd)
+        text = ""
+        try:
+            outcome = ("ok", part())
+        except BaseException as exc:
+            text = traceback.format_exc()
+            outcome = ("raised", exc, text)
+        try:
+            payload = pickle.dumps(outcome)
+            if text:
+                pickle.loads(payload)  # the exception must load there too
+        except Exception:  # an exception or result that does not pickle
+            payload = pickle.dumps(("raised", None,
+                                    text + traceback.format_exc()))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _beside_worker(main_part, worker_part):
+    """Run main_part here and worker_part in one forked worker, at once.
+
+    Returns both results.  The worker inherits everything built so far
+    and sends its result back pickled through a pipe.  An exception it
+    raised is raised here, caused by its traceback text; a worker that
+    ends without a result raises RuntimeError naming its exit status or
+    signal.  The worker is reaped before this returns or raises, and is
+    killed first if main_part raises.
+    """
+    import signal
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _worker(read_fd, write_fd, worker_part)
+    os.close(write_fd)
+    reaped = False
+    try:
+        with open(read_fd, "rb") as pipe:
+            here = main_part()
+            # all of it before waitpid: the worker blocks on a full pipe
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status:
+        how = (f"signal {signal.Signals(-status).name}" if status < 0
+               else f"exit status {status}")
+        raise RuntimeError(f"the spectrum worker ended without a result "
+                           f"({how})")
+    outcome = pickle.loads(payload)
+    if outcome[0] == "ok":
+        return here, outcome[1]
+    _, exc, text = outcome
+    if exc is None:
+        raise RuntimeError(f"the spectrum worker raised:\n{text}")
+    raise exc from _WorkerTraceback(text)
+
+
+def _run_suites(ctx, which, tol, seed, log):
+    """Reports of the suites `which` selects, in the documented order.
+
+    For --suite all on a host with a spare CPU, the spectrum suites run
+    in one forked worker while this process runs the ring and involution
+    suites; both read the one structure table built here.  log collects
+    the lines that --stats writes.
+    """
+    table = _timed(log, "main", quantum.build_table, ctx)
+    log.append(f"table terms {len(table.coeff)}")
+    if which == "all" and _spare_cpu():
+        def worker_part():
+            worker_log = []
+            return (_spectrum_suites(ctx, tol, seed, table, worker_log,
+                                     "worker"), worker_log)
+
+        reports, (spec_reports, worker_log) = _beside_worker(
+            lambda: _ring_suites(ctx, which, seed, table, log), worker_part)
+        log.extend(worker_log)
+        return reports + spec_reports
+    reports = _ring_suites(ctx, which, seed, table, log)
     if which in ("spectrum", "all"):
-        spec = spectrum.joint_eigenbasis(ctx)
-        classes = ([basis_class(ctx, lam) for lam in ctx.basis]
-                   + spectrum.random_integer_classes(ctx, 100, seed=seed))
-        reports.append(spectrum.verify_conjugation(ctx, spectral=spec))
-        reports.append(spectrum.verify_point_conjugation(ctx, spectral=spec))
-        reports.append(spectrum.verify_positivity(ctx, classes, tol=tol,
-                                                  spectral=spec, table=table))
-        reports.append(spectrum.verify_vanishing(ctx, classes, spectral=spec))
+        reports += _spectrum_suites(ctx, tol, seed, table, log, "main")
     return reports
 
 
@@ -155,13 +290,31 @@ def cmd_verify(args):
         raise CliError(f"seed must be non-negative, got {args.seed}")
     if args.suite in ("spectrum", "all"):
         _check_spectrum_size(ctx)
-    reports = _run_suites(ctx, args.suite, args.tol, args.seed)
+    log = []
+    reports = _run_suites(ctx, args.suite, args.tol, args.seed, log)
     failed = sum(len(r.failures) for r in reports)
     doc = {"k": ctx.k, "n": ctx.n, "suite": args.suite,
            "suites": [r.to_json_dict() for r in reports],
            "failures": failed}
     print(json.dumps(doc, separators=(",", ":")))
+    if args.stats:
+        _write_stats(log)
     return 0 if failed == 0 else 1
+
+
+def _write_stats(log):
+    """Write verify's log and peak resident memory to stderr."""
+    import resource
+
+    def peak_mb(who):  # ru_maxrss is in bytes on macOS, KiB elsewhere
+        unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+        return f"{resource.getrusage(who).ru_maxrss / unit:.1f} MB"
+
+    peak = f"peak RSS {peak_mb(resource.RUSAGE_SELF)} main"
+    if any(line.endswith(" worker") for line in log):
+        peak += f", {peak_mb(resource.RUSAGE_CHILDREN)} worker"
+    for line in log + [peak]:
+        print(f"stats: {line}", file=sys.stderr)
 
 
 def cmd_spectrum(args):
@@ -219,6 +372,9 @@ def build_parser():
     p.add_argument("--suite", default="all")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--stats", action="store_true",
+                   help="write suite timings, table size and peak memory "
+                        "to stderr")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="emit the spectrum as JSON")

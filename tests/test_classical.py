@@ -6,11 +6,11 @@ from functools import partial
 import pytest
 
 from qgr import classical
-from qgr.classical import (CohomClass, _cup_rows, _lr_count, basis_class,
-                           class_from_parts, classical_pieri, column_class,
-                           cup_product, lr_coefficient, pairing, point_class,
-                           rank_map, relabel, row_class, unit_class,
-                           zero_class)
+from qgr.classical import (CohomClass, _column_cells, _cup_rows, _lr_count,
+                           _lr_fillings, basis_class, class_from_parts,
+                           classical_pieri, column_class, cup_product,
+                           lr_coefficient, pairing, point_class, rank_map,
+                           relabel, row_class, unit_class, zero_class)
 from qgr.partitions import (GrassmannContext, bar_involution, c_shift,
                             degree, poincare_dual, trim)
 
@@ -173,6 +173,35 @@ class TestLittlewoodRichardson:
     def test_long_column_ends_each_value_search_early(self):
         # the one filling puts 1..200 down the column
         assert _lr_count((), (1,) * 200) == {(1,) * 200: 1}
+
+    def test_one_column_closed_form_matches_enumeration(self):
+        # every skew shape in the box of 12 rows and 3 columns; the ones
+        # in one column take the closed form, all others enumerate
+        rows = 12
+        box = [trim(p) for p in itertools.combinations_with_replacement(
+            range(3, -1, -1), rows)]
+        sized = [partitions_of(m) for m in range(rows + 1)]
+        columns = 0
+        for lam, nu in itertools.product(box, box):
+            lam_p = lam + (0,) * (rows - len(lam))
+            nu_p = nu + (0,) * (rows - len(nu))
+            if any(a > b for a, b in zip(lam_p, nu_p)):
+                continue
+            cells = [(i, c) for i in range(rows)
+                     for c in range(lam_p[i], nu_p[i])]
+            if len({c for _, c in cells}) > 1:
+                assert _column_cells(lam_p, nu_p) is None
+                continue
+            m = len(cells)
+            columns += 1
+            assert _column_cells(lam_p, nu_p) == m
+            bounds = [None, (1,) * (m + 1), (m + 1,)] + sized[m]
+            if m:
+                bounds.append((1,) * (m - 1))
+            for bound in bounds:
+                assert _lr_count(lam, nu, bound) == \
+                    _lr_fillings(lam, nu, bound), (lam, nu, bound)
+        assert columns == 4550
 
     def test_symmetry_small_scan(self):
         shapes = [p for size in range(7) for p in partitions_of(size)]

@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -158,6 +163,133 @@ class TestVerify:
                            "--suite", "ring")
         assert code == 1
         assert json.loads(out)["failures"] == 1
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the spectrum worker is forked")
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+class TestSpectrumWorker:
+    def verify_all(self, capsys, monkeypatch, k, n, worker, *extra):
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: worker)
+        return run(capsys, "verify", "--k", str(k), "--n", str(n),
+                   "--suite", "all", *extra)
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 7), (4, 9)])
+    def test_worker_prints_the_same_bytes(self, capsys, monkeypatch, k, n):
+        here = self.verify_all(capsys, monkeypatch, k, n, False, "--stats")
+        there = self.verify_all(capsys, monkeypatch, k, n, True, "--stats")
+        assert here[0] == there[0] == 0
+        assert here[1] == there[1]
+        assert " worker" not in here[2]
+        assert "verify_positivity" in there[2] and " worker\n" in there[2]
+        no_children_left()
+
+    def test_other_suites_run_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+        for suite in ("ring", "involution", "spectrum"):
+            code, _, err = run(capsys, "verify", "--k", "2", "--n", "4",
+                               "--suite", suite, "--stats")
+            assert code == 0 and " worker" not in err
+
+    def test_degenerate_spectrum_exits_three(self, capsys, monkeypatch):
+        def fake(ctx, **kwargs):
+            raise DegenerateSpectrum("forced for the test")
+
+        monkeypatch.setattr(cli.spectrum, "joint_eigenbasis", fake)
+        for worker in (True, False):
+            code, out, err = self.verify_all(capsys, monkeypatch, 2, 4, worker)
+            assert code == 3 and out == ""
+            assert err == "degenerate spectrum: forced for the test\n"
+        no_children_left()
+
+    def test_worker_error_carries_its_traceback(self, monkeypatch):
+        def broken_positivity(ctx, classes, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(cli.spectrum, "verify_positivity",
+                            broken_positivity)
+        with pytest.raises(ValueError, match="internal fault") as info:
+            cli.main(["verify", "--k", "2", "--n", "4", "--suite", "all"])
+        text = str(info.value.__cause__)
+        assert "Traceback" in text and "in broken_positivity" in text
+        assert "ValueError: internal fault" in text
+        no_children_left()
+
+    def test_killed_worker_names_the_signal(self, monkeypatch):
+        def killed(ctx, classes, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(cli.spectrum, "verify_positivity", killed)
+        with pytest.raises(RuntimeError, match="signal SIGKILL"):
+            cli.main(["verify", "--k", "2", "--n", "4", "--suite", "all"])
+        no_children_left()
+
+    def test_long_failure_list_passes_the_pipe(self, capsys, monkeypatch):
+        from qgr.reports import VerifyReport
+
+        # far more than a pipe buffer holds, read before the worker exits
+        def failing(ctx, classes, **kwargs):
+            return VerifyReport("positivity", ctx.k, ctx.n, 1,
+                                [{"class": "x" * 100, "i": i}
+                                 for i in range(5000)])
+
+        monkeypatch.setattr(cli.spectrum, "verify_positivity", failing)
+        here = self.verify_all(capsys, monkeypatch, 2, 4, False)
+        there = self.verify_all(capsys, monkeypatch, 2, 4, True)
+        assert here[0] == there[0] == 1 and here[1] == there[1]
+        assert json.loads(there[1])["failures"] == 5000
+        no_children_left()
+
+    def test_ring_error_kills_the_running_worker(self, monkeypatch):
+        def broken(ctx, **kwargs):
+            raise ValueError("ring fault")
+
+        def slow(ctx, **kwargs):
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(cli.quantum, "verify_commutativity", broken)
+        monkeypatch.setattr(cli.spectrum, "joint_eigenbasis", slow)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="ring fault"):
+            cli.main(["verify", "--k", "2", "--n", "4", "--suite", "all"])
+        assert time.monotonic() - start < 30
+        no_children_left()
+
+
+class TestVerifyStats:
+    def test_stdout_unchanged_and_stats_on_stderr(self, capsys, monkeypatch,
+                                                  table_of):
+        monkeypatch.setattr(cli, "_spare_cpu", lambda: False)
+        plain = run(capsys, "verify", "--k", "3", "--n", "6")
+        stats = run(capsys, "verify", "--k", "3", "--n", "6", "--stats")
+        assert plain[0] == stats[0] == 0
+        assert plain[1] == stats[1] and plain[2] == ""
+        lines = stats[2].splitlines()
+        assert all(line.startswith("stats: ") for line in lines)
+        assert f"stats: table terms {len(table_of(3, 6).coeff)}" in lines
+        names = [line.split()[1] for line in lines]
+        assert names[0] == "build_table" and "verify_vanishing" in names
+        assert lines[-1].startswith("stats: peak RSS ")
+        assert lines[-1].endswith(" MB main")
+
+
+def test_cli_imports_no_multiprocessing():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, qgr.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 class TestSpectrumCommand:
