@@ -17,14 +17,17 @@ emit JSON reports.  spectrum prints the closed-form points in subset
 order and takes no seed; verify --seed draws the associativity and
 dual-product triples and the random classes of the spectrum suites.
 
-On a POSIX host with more than one CPU, verify --suite all runs the
-spectrum suites in one forked worker while this process runs the ring
-and involution suites; the output is the same byte for byte, and the
-memory is split across the two processes.  Every other suite choice,
-and every other host, runs them in this process through the same
-function.  verify --stats writes each suite's seconds and the process
-that ran it, the table's term count and the peak memory of both
-processes to stderr.
+On a POSIX host with more CPUs than numpy's BLAS pool has threads
+(one per CPU unless OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
+OMP_NUM_THREADS sets fewer), verify --suite all runs the spectrum
+suites in one forked worker while this process runs the ring and
+involution suites; the output is the same byte for byte, and the
+memory is held by two processes, each with its own peak.  Every other
+suite choice, and every other host, runs them in this process through
+the same function, as does --suite all when the fork fails.
+verify --stats writes each suite's seconds and the process that ran
+it, the table's term count and the peak memory of each process to
+stderr.
 """
 
 from __future__ import annotations
@@ -160,10 +163,30 @@ def _spectrum_suites(ctx, tol, seed, table, log, where):
             run(spectrum.verify_vanishing, classes, spectral=spec)]
 
 
+def _blas_threads(cpus):
+    """Threads in numpy's BLAS pool: the first of the variables OpenBLAS
+    and MKL read that holds a positive count, at most one per CPU, and
+    one per CPU when none does."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
 def _spare_cpu():
-    """Whether a forked worker can run beside this process on its own CPU."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1)
+    """Whether a forked worker can run beside this process on a CPU
+    that numpy's BLAS pool leaves free.
+
+    The spectrum suites spend their time in BLAS and the ring suites do
+    not, so the split gains only when there are more CPUs than BLAS
+    threads; with one BLAS thread per CPU the worker's pool contends
+    with this process, and the split was measured no faster.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return False
+    cpus = len(os.sched_getaffinity(0))
+    return cpus > _blas_threads(cpus)
 
 
 class _WorkerTraceback(Exception):
@@ -203,8 +226,9 @@ def _worker(read_fd, write_fd, part):
 def _beside_worker(main_part, worker_part):
     """Run main_part here and worker_part in one forked worker, at once.
 
-    Returns both results.  The worker inherits everything built so far
-    and sends its result back pickled through a pipe.  An exception it
+    Returns both results, or None, having run neither, when no worker
+    can be forked.  The worker inherits everything built so far and
+    sends its result back pickled through a pipe.  An exception it
     raised is raised here, caused by its traceback text; a worker that
     ends without a result raises RuntimeError naming its exit status or
     signal.  The worker is reaped before this returns or raises, and is
@@ -212,7 +236,12 @@ def _beside_worker(main_part, worker_part):
     """
     import signal
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare, as under RLIMIT_NPROC
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
     if pid == 0:
         _worker(read_fd, write_fd, worker_part)
     os.close(write_fd)
@@ -255,13 +284,16 @@ def _run_suites(ctx, which, tol, seed, log):
     if which == "all" and _spare_cpu():
         def worker_part():
             worker_log = []
-            return (_spectrum_suites(ctx, tol, seed, table, worker_log,
-                                     "worker"), worker_log)
+            reports = _spectrum_suites(ctx, tol, seed, table, worker_log,
+                                       "worker")
+            return reports, worker_log + [_peak_rss("worker")]
 
-        reports, (spec_reports, worker_log) = _beside_worker(
+        both = _beside_worker(
             lambda: _ring_suites(ctx, which, seed, table, log), worker_part)
-        log.extend(worker_log)
-        return reports + spec_reports
+        if both is not None:
+            reports, (spec_reports, worker_log) = both
+            log.extend(worker_log)
+            return reports + spec_reports
     reports = _ring_suites(ctx, which, seed, table, log)
     if which in ("spectrum", "all"):
         reports += _spectrum_suites(ctx, tol, seed, table, log, "main")
@@ -302,18 +334,17 @@ def cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
-def _write_stats(log):
-    """Write verify's log and peak resident memory to stderr."""
+def _peak_rss(where):
+    """The --stats line for this process's peak resident memory."""
     import resource
+    unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # of ru_maxrss
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+    return f"peak RSS {peak:.1f} MB {where}"
 
-    def peak_mb(who):  # ru_maxrss is in bytes on macOS, KiB elsewhere
-        unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
-        return f"{resource.getrusage(who).ru_maxrss / unit:.1f} MB"
 
-    peak = f"peak RSS {peak_mb(resource.RUSAGE_SELF)} main"
-    if any(line.endswith(" worker") for line in log):
-        peak += f", {peak_mb(resource.RUSAGE_CHILDREN)} worker"
-    for line in log + [peak]:
+def _write_stats(log):
+    """Write verify's log and this process's peak memory to stderr."""
+    for line in log + [_peak_rss("main")]:
         print(f"stats: {line}", file=sys.stderr)
 
 

@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -189,7 +191,23 @@ class TestSpectrumWorker:
         assert here[1] == there[1]
         assert " worker" not in here[2]
         assert "verify_positivity" in there[2] and " worker\n" in there[2]
+        # the worker measures its own peak and sends it back
+        assert re.search(r"^stats: peak RSS [0-9.]+ MB worker$", there[2],
+                         re.M)
+        assert there[2].splitlines()[-1].endswith(" MB main")
         no_children_left()
+
+    def test_failed_fork_runs_every_suite_here(self, capsys, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        here = self.verify_all(capsys, monkeypatch, 3, 7, False)
+        fds = sorted(os.listdir("/dev/fd"))
+        monkeypatch.setattr(cli.os, "fork", no_fork)
+        there = self.verify_all(capsys, monkeypatch, 3, 7, True, "--stats")
+        assert here[0] == there[0] == 0 and here[1] == there[1]
+        assert " worker" not in there[2] and "verify_positivity" in there[2]
+        assert sorted(os.listdir("/dev/fd")) == fds  # the pipe was closed
 
     def test_other_suites_run_in_process(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
@@ -264,6 +282,32 @@ class TestSpectrumWorker:
             cli.main(["verify", "--k", "2", "--n", "4", "--suite", "all"])
         assert time.monotonic() - start < 30
         no_children_left()
+
+
+class TestSpareCpu:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.mark.parametrize("cpus,env,spare", [
+        (2, {}, False),  # the BLAS pool takes every CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (2, {"OMP_NUM_THREADS": "1"}, True),
+        (2, {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "8"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "0"}, False),  # unset to BLAS
+        (2, {"OPENBLAS_NUM_THREADS": "two"}, False),
+        (4, {"OMP_NUM_THREADS": "3"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+    ])
+    def test_spare_cpu_needs_a_cpu_beyond_blas(self, monkeypatch, cpus, env,
+                                               spare):
+        for var in self.BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert cli._spare_cpu() is (spare and hasattr(os, "fork"))
 
 
 class TestVerifyStats:
