@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pickle
 import sys
@@ -301,8 +302,10 @@ def _run_suites(ctx, which, tol, seed, log):
 
 
 def _check_tol(args):
-    if args.tol <= 0:
-        raise CliError(f"tolerance must be positive, got {args.tol}")
+    # NaN fails every comparison, so it is rejected with inf here
+    if not 0 < args.tol < math.inf:
+        raise CliError(f"tolerance must be finite and positive, "
+                       f"got {args.tol}")
 
 
 def _check_spectrum_size(ctx):

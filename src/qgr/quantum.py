@@ -398,6 +398,20 @@ class StructureTable:
 _COEFF_BOUND = 2 ** 31
 
 
+def _shift_powers(shift, n):
+    """Powers shift^0 .. shift^(n-1) of a permutation, as rows of an array.
+
+    Returns None unless shift^n is the identity, as it is for the
+    cyclic action, whose period divides n.
+    """
+    import numpy as np
+    powers = np.empty((n, len(shift)), dtype=np.intp)
+    powers[0] = np.arange(len(shift))
+    for s in range(1, n):
+        powers[s] = shift[powers[s - 1]]
+    return powers if np.array_equal(shift[powers[-1]], powers[0]) else None
+
+
 def build_table(ctx):
     """Compute every pairwise basis product by Pieri inversion.
 
@@ -428,12 +442,24 @@ def build_table(ctx):
         earlier in the order.
     The unit's matrix is the identity.  Each M_lam is kept sparse, as
     flat indices j * dim + t (column j, target t) with their values, and
-    summed in a dense integer scratch vector of dim^2 entries.  Its
+    summed in a dense integer scratch vector of dim^2 entries, whose
     nonzero entries are found in index order by a scan of the boolean
-    mask acc != 0, so each diagram costs its Pieri terms plus two passes
-    over dim^2 entries, and the build O(dim^3) however sparse the table.
-    The table stores these matrices as they are, one after another,
-    every column included.
+    mask acc != 0.  Each inverted diagram so costs its Pieri terms plus
+    two passes over dim^2 entries.
+
+    Most diagrams are not inverted.  Multiplication by the column class
+    (1^l) permutes the basis at q = 1 (the cyclic action), so with c
+    that permutation, read off the table's own M_(1^l),
+
+        sigma_{c^s m} sigma_j = sigma_m sigma_{c^s j}:
+
+    column j of M_{c^s m} is column c^s j of M_m, targets unchanged.
+    Past (1^l), only the first diagram of each orbit of c in basis
+    order is inverted, and every later one is copied from it at the
+    cost of its terms.  If M_(1^l) is not a permutation with all
+    coefficients 1, or its n-th power is not the identity, nothing is
+    derived and every diagram is inverted.  The table stores these
+    matrices as they are, one after another, every column included.
 
     Every stored constant is checked: positive, of degree at most the
     pair's total and congruent to it mod n; anything else raises
@@ -445,6 +471,8 @@ def build_table(ctx):
     deg = np.array([degree(lam) for lam in ctx.basis])
     pieri = {r: _pieri_matrix(ctx, r) for r in range(1, ctx.k + 1)}
     key_type = np.int32 if dim * dim <= 2 ** 31 else np.int64
+    column = ctx.rank((1,) * ctx.l)
+    cols = np.arange(dim)
 
     # stored magnitudes stay below _COEFF_BOUND, so int32 holds them and
     # each step's sums, at most 2 * dim of them, stay exact in int64;
@@ -452,10 +480,21 @@ def build_table(ctx):
     acc = np.zeros(dim * dim, dtype=np.int64)
     mats = [None] * dim
     counts = []
+    # once M_(1^l) is built: each diagram's orbit's first rank, and the
+    # power s of c that takes that rank to the diagram
+    first = power = powers = None
     for ra in range(dim):
         lam = ctx.basis[ra]
-        if not ra:
-            key, val = np.arange(dim) * (dim + 1), np.ones(dim, np.int64)
+        if first is not None and first[ra] != ra:
+            m = first[ra]
+            perm = powers[power[ra]]
+            width = counts[m][perm]
+            start = np.cumsum(counts[m]) - counts[m]
+            pos = _flat_ranges(start[perm], width)
+            key = mats[m][0][pos] - np.repeat((perm - cols) * dim, width)
+            val = mats[m][1][pos]
+        elif not ra:
+            key, val = cols * (dim + 1), np.ones(dim, np.int64)
         else:
             rest = ctx.rank(lam[1:] + (0,))
             key, val = mats[rest]
@@ -490,6 +529,17 @@ def build_table(ctx):
                 f" in product {lam} * {ctx.basis[col[i]]}")
         counts.append(np.bincount(col, minlength=dim))
         mats[ra] = (key.astype(key_type), val.astype(np.int32))
+        # (1^l) is the last diagram only at k = 1, with nothing after it
+        # to derive
+        if ra == column and column < dim - 1 \
+                and (counts[-1] == 1).all() and (val == 1).all():
+            # one term per column: t[j] is the target of column j
+            shift = t.astype(np.intp)
+            if (np.bincount(shift, minlength=dim) == 1).all():
+                powers = _shift_powers(shift, n)
+            if powers is not None:
+                first = powers.min(axis=0)
+                power = (powers[:, first] == cols).argmax(axis=0)
 
     ptr = np.zeros(dim * dim + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=ptr[1:])

@@ -122,6 +122,15 @@ class TestVerify:
                            "--tol", "0")
         assert code == 2 and "tolerance" in err
 
+    @pytest.mark.parametrize("suite", ["spectrum", "all"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_tolerance_not_finite(self, capsys, suite, tol):
+        # nan would fail every float gate and inf would pass every one
+        code, out, err = run(capsys, "verify", "--k", "2", "--n", "4",
+                             "--suite", suite, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert "tolerance must be finite and positive" in err
+
     def test_all_suites_g24(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "2", "--n", "4",
                            "--suite", "all")
@@ -354,6 +363,13 @@ class TestSpectrumCommand:
         _, out1, _ = run(capsys, "spectrum", "--k", "2", "--n", "4")
         _, out2, _ = run(capsys, "spectrum", "--k", "2", "--n", "4")
         assert out1 == out2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_bad_tolerance(self, capsys, tol):
+        code, out, err = run(capsys, "spectrum", "--k", "2", "--n", "4",
+                             f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert "tolerance must be finite and positive" in err
 
     def test_size_limit_exits_two(self, capsys):
         code, out, err = run(capsys, "spectrum", "--k", "7", "--n", "14")

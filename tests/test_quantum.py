@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgr import quantum
+from qgr import partitions, quantum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            classical_pieri, column_class, lr_coefficient,
                            point_class, row_class, terms_json, unit_class,
                            zero_class)
-from qgr.partitions import GrassmannContext, degree, poincare_dual, trim
+from qgr.partitions import (GrassmannContext, c_shift, degree,
+                            poincare_dual, trim)
 from qgr.quantum import (GWRecord, _basis_product,
                          _giambelli_matrices, _product_via_giambelli,
                          build_table, c_apply, giambelli_expand,
@@ -184,12 +185,15 @@ class TestQuantumProduct:
             quantum_product(a, b)
 
     def test_table_and_direct_agree(self, ctx_of, table_of):
-        for k, n in [(2, 5), (3, 6)]:
+        # G(2,6), G(3,6) and G(4,8) have shift orbits shorter than n; at
+        # G(1,9) no multiplication matrix is derived from its orbit's
+        # first, at G(8,9) all but two are
+        for k, n in [(2, 5), (2, 6), (3, 6), (4, 8), (1, 9), (8, 9)]:
             ctx, table = ctx_of(k, n), table_of(k, n)
-            for la, lb in itertools.combinations(ctx.basis, 2):
+            for la, lb in itertools.product(ctx.basis, repeat=2):
                 a, b = basis_class(ctx, la), basis_class(ctx, lb)
                 assert quantum_product(a, b, table=table) == \
-                    quantum_product(a, b)
+                    quantum_product(a, b), (k, n, la, lb)
 
 
 class TestRingSuites:
@@ -327,6 +331,32 @@ class TestCommutativityFailureRecords:
                                  r"\(0, 0, 0\) in product \(2, 2, 0\) \* "
                                  r"\(2, 0, 0\)"):
             build_table(GrassmannContext(3, 6))
+
+    def test_derived_orbit_mates_reach_the_oracle(self, monkeypatch):
+        pieri_matrix = quantum._pieri_matrix
+
+        def corrupted(ctx, r):
+            # (3) times (1) gains (2,2), of the right degree; at G(6,8)
+            # only (3) reads the row class (3), and (3) is the first of
+            # its shift orbit, so the build inverts it and copies the
+            # rest of the orbit from it
+            matrix = pieri_matrix(ctx, r)
+            extra = {ctx.rank((1, 0)): (ctx.rank((2, 2)),)}
+            return with_extra_targets(matrix, extra) if r == 3 else matrix
+
+        ctx = GrassmannContext(6, 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_pieri_matrix", corrupted)
+            table = build_table(ctx)
+        three = ctx.rank((3, 0))
+        orbit = {ctx.rank(c_shift(ctx.basis[three], s, ctx.k, ctx.n))
+                 for s in range(ctx.n)}
+        assert len(orbit) == 4 and min(orbit) == three
+        report = verify_commutativity(ctx, table=table)
+        assert report.failures == _commutativity_reference(ctx, table)
+        firsts = {ctx.rank(ctx.validate(f["pair"][0]))
+                  for f in report.failures if "table" in f}
+        assert firsts == orbit
 
 
 class TestCommutativityMemory:
@@ -623,6 +653,26 @@ class TestStructureTable:
                            match=r"invalid structure constant 1 at \(0, 0\)"
                                  r" in product \(1, 0\) \* \(0, 0\)"):
             build_table(GrassmannContext(2, 4))
+
+    def test_build_reads_no_combinatorial_shift(self, ctx_of, table_of,
+                                                monkeypatch):
+        # the build reads the shift off its own column class, so
+        # verify_cyclic stays an independent check of it
+        ctx, table = ctx_of(4, 8), table_of(4, 8)
+
+        def refuse(*args):
+            raise AssertionError("build_table called c_shift")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(partitions, "c_shift", refuse)
+            patch.setattr(quantum, "c_shift", refuse)
+            assert build_table(ctx) == table
+        column = ctx.rank((1,) * ctx.l)
+        lam = (2, 1, 0, 0)
+        bad = with_terms(table, {(column, ctx.rank(lam), 0): 1})
+        report = verify_cyclic(ctx, table=bad)
+        assert [(f["lam"], f["kind"]) for f in report.failures] == \
+            [([2, 1], "shift_vs_mult")]
 
     def test_coefficient_bound_raises(self, monkeypatch):
         monkeypatch.setattr(quantum, "_COEFF_BOUND", 1)
