@@ -440,12 +440,13 @@ def build_table(ctx):
       - every other nu has the degree of lam and nu_i <= lam_i for
         i >= 2 (interlacing), so nu_1 > lam_1: lex-larger, hence
         earlier in the order.
-    The unit's matrix is the identity.  Each M_lam is kept sparse, as
-    flat indices j * dim + t (column j, target t) with their values, and
-    summed in a dense integer scratch vector of dim^2 entries, whose
-    nonzero entries are found in index order by a scan of the boolean
-    mask acc != 0.  Each inverted diagram so costs its Pieri terms plus
-    two passes over dim^2 entries.
+    A Pieri matrix that breaks this and names a diagram not before lam
+    raises ArithmeticError.  The unit's matrix is the identity.  Each
+    M_lam is kept sparse, as flat indices j * dim + t (column j, target
+    t) with their values, and summed in a dense integer scratch vector
+    of dim^2 entries, whose nonzero entries are found in index order by
+    a scan of the boolean mask acc != 0.  Each inverted diagram so
+    costs its Pieri terms plus two passes over dim^2 entries.
 
     Most diagrams are not inverted.  Multiplication by the column class
     (1^l) permutes the basis at q = 1 (the cyclic action), so with c
@@ -454,16 +455,39 @@ def build_table(ctx):
         sigma_{c^s m} sigma_j = sigma_m sigma_{c^s j}:
 
     column j of M_{c^s m} is column c^s j of M_m, targets unchanged.
-    Past (1^l), only the first diagram of each orbit of c in basis
-    order is inverted, and every later one is copied from it at the
-    cost of its terms.  If M_(1^l) is not a permutation with all
-    coefficients 1, or its n-th power is not the identity, nothing is
-    derived and every diagram is inverted.  The table stores these
-    matrices as they are, one after another, every column included.
+    Past (1^l), only the first diagram m of each orbit of c in basis
+    order is inverted, and every later one, r = c^s m, is a copy of
+    it.  If M_(1^l) is not a permutation with all coefficients 1, or
+    its n-th power is not the identity, nothing is copied and every
+    diagram is inverted.
 
     Every stored constant is checked: positive, of degree at most the
     pair's total and congruent to it mod n; anything else raises
-    ArithmeticError.
+    ArithmeticError naming the first bad term in key order.  An
+    inverted diagram is checked term by term.  A copy is checked per
+    column, in O(dim): its values are its source's, already found
+    positive, and each term of column j has the gap (pair's degree
+    minus the target's) of its source term in column perm[j] = c^s j of
+    M_m, plus
+
+        delta(j) = deg r - deg m + deg j - deg perm[j].
+
+    As the source gaps are nonnegative multiples of n, a nonempty
+    column passes every term check exactly when delta(j) is a multiple
+    of n and delta(j) plus the smallest gap of the source column is
+    nonnegative.  A copy that fails is gathered and checked term by
+    term, which names the first bad term.  Each orbit first with later
+    orbit-mates keeps its column starts and smallest gaps, computed
+    when its first mate is reached.
+
+    A copy keeps only its per-column term counts until a final fill:
+    it is gathered when an inversion reads it, and kept for the fill,
+    and otherwise gathered straight into its slice of the table's
+    arrays, which are allocated once, at their final size.  The dense
+    scratch is freed before the fill, so at its peak the build holds
+    the table, the inverted and read matrices and one dim-long array of
+    counts per diagram: one copy of the table's terms where most are
+    copied, not two.
     """
     import numpy as np
 
@@ -474,30 +498,81 @@ def build_table(ctx):
     column = ctx.rank((1,) * ctx.l)
     cols = np.arange(dim)
 
+    def check(ra, key, val):
+        """(column, target) of each term of M_ra, once every term passes."""
+        col, t = np.divmod(key, dim)
+        gap = deg[ra] + deg[col] - deg[t]
+        bad = np.flatnonzero((val <= 0) | (gap < 0) | (gap % n != 0))
+        if bad.size:
+            i = bad[0]
+            raise ArithmeticError(
+                f"invalid structure constant {val[i]} at {ctx.basis[t[i]]}"
+                f" in product {ctx.basis[ra]} * {ctx.basis[col[i]]}")
+        return col, t
+
     # stored magnitudes stay below _COEFF_BOUND, so int32 holds them and
     # each step's sums, at most 2 * dim of them, stay exact in int64;
     # acc is the dense scratch of one step, all zero between steps
     acc = np.zeros(dim * dim, dtype=np.int64)
+    # (key, val) of every inverted diagram and of every copy read by an
+    # inversion; None for the other copies until the fill
     mats = [None] * dim
     counts = []
     # once M_(1^l) is built: each diagram's orbit's first rank, and the
     # power s of c that takes that rank to the diagram
     first = power = powers = None
+    # per orbit first with a later orbit-mate, filled when one is reached
+    sources = {}
+
+    def source(m):
+        """(column starts, smallest gap of each column) of M_m."""
+        if m not in sources:
+            key, _ = mats[m]
+            width = counts[m]
+            start = np.cumsum(width) - width
+            col, t = np.divmod(key, dim)
+            low = np.zeros(dim, dtype=np.int64)
+            full = width > 0
+            low[full] = np.minimum.reduceat(deg[m] + deg[col] - deg[t],
+                                            start[full])
+            sources[m] = start, low
+        return sources[m]
+
+    def copy(r):
+        """(key, val) of the copy M_r, gathered from its orbit first."""
+        m, perm = first[r], powers[power[r]]
+        width = counts[r]
+        pos = _flat_ranges(source(m)[0][perm], width)
+        key = mats[m][0][pos] - np.repeat((perm - cols) * dim, width)
+        return key.astype(key_type), mats[m][1][pos]
+
+    def read(ra, rank):
+        """M_rank, as the inversion of basis[ra] reads it."""
+        if rank >= ra:
+            raise ArithmeticError(
+                f"Pieri inversion of {ctx.basis[ra]} reads "
+                f"{ctx.basis[rank]}, which does not come before it")
+        if mats[rank] is None:
+            mats[rank] = copy(rank)
+        return mats[rank]
+
     for ra in range(dim):
         lam = ctx.basis[ra]
         if first is not None and first[ra] != ra:
             m = first[ra]
             perm = powers[power[ra]]
-            width = counts[m][perm]
-            start = np.cumsum(counts[m]) - counts[m]
-            pos = _flat_ranges(start[perm], width)
-            key = mats[m][0][pos] - np.repeat((perm - cols) * dim, width)
-            val = mats[m][1][pos]
-        elif not ra:
+            counts.append(counts[m][perm])
+            delta = deg[ra] - deg[m] + deg - deg[perm]
+            if not ((counts[ra] == 0) | ((delta % n == 0)
+                    & (source(m)[1][perm] + delta >= 0))).all():
+                # some term fails: the term check names the first
+                check(ra, *copy(ra))
+            continue
+        if not ra:
             key, val = cols * (dim + 1), np.ones(dim, np.int64)
         else:
             rest = ctx.rank(lam[1:] + (0,))
-            key, val = mats[rest]
+            key, val = read(ra, rest)
             col, t = np.divmod(key.astype(np.int64), dim)
             ptr, tgt = pieri[lam[0]]
             width = ptr[t + 1] - ptr[t]
@@ -510,8 +585,8 @@ def build_table(ctx):
             row = tgt[ptr[rest]:ptr[rest + 1]]
             for nu in row[deg[row] == deg[ra]].tolist():
                 if nu != ra:
-                    np.subtract.at(acc, mats[nu][0],
-                                   mats[nu][1].astype(np.int64))
+                    nu_key, nu_val = read(ra, nu)
+                    np.subtract.at(acc, nu_key, nu_val.astype(np.int64))
             # numpy vectorizes nonzero over bool but not over int64
             key = np.flatnonzero(acc != 0)
             val = acc[key]
@@ -519,14 +594,7 @@ def build_table(ctx):
             if np.abs(val).max(initial=0) >= _COEFF_BOUND:
                 raise OverflowError(f"structure constant of {lam} exceeds "
                                     "the safe integer bound")
-        col, t = np.divmod(key, dim)
-        gap = deg[ra] + deg[col] - deg[t]
-        bad = np.flatnonzero((val <= 0) | (gap < 0) | (gap % n != 0))
-        if bad.size:
-            i = bad[0]
-            raise ArithmeticError(
-                f"invalid structure constant {val[i]} at {ctx.basis[t[i]]}"
-                f" in product {lam} * {ctx.basis[col[i]]}")
+        col, t = check(ra, key, val)
         counts.append(np.bincount(col, minlength=dim))
         mats[ra] = (key.astype(key_type), val.astype(np.int32))
         # (1^l) is the last diagram only at k = 1, with nothing after it
@@ -540,11 +608,16 @@ def build_table(ctx):
             if powers is not None:
                 first = powers.min(axis=0)
                 power = (powers[:, first] == cols).argmax(axis=0)
+    del acc
 
     ptr = np.zeros(dim * dim + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=ptr[1:])
-    return StructureTable(ctx, ptr, np.concatenate([m[0] for m in mats]),
-                          np.concatenate([m[1] for m in mats]))
+    key = np.empty(ptr[-1], dtype=key_type)
+    coeff = np.empty(ptr[-1], dtype=np.int32)
+    for ra in range(dim):
+        span = slice(ptr[ra * dim], ptr[ra * dim + dim])
+        key[span], coeff[span] = mats[ra] or copy(ra)
+    return StructureTable(ctx, ptr, key, coeff)
 
 
 def _pieri_apply(ctx):

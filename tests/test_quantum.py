@@ -654,6 +654,96 @@ class TestStructureTable:
                                  r" in product \(1, 0\) \* \(0, 0\)"):
             build_table(GrassmannContext(2, 4))
 
+    def test_strip_not_before_the_diagram_raises(self, monkeypatch):
+        pieri_matrix = quantum._pieri_matrix
+
+        def corrupted(ctx, r):
+            # (2) times the unit gains (1,1), so the inversion of (2)
+            # reads (1,1) as a strip, which comes after it
+            matrix = pieri_matrix(ctx, r)
+            return with_extra_targets(matrix, {0: (ctx.rank((1, 1, 0)),)}) \
+                if r == 2 else matrix
+
+        monkeypatch.setattr(quantum, "_pieri_matrix", corrupted)
+        with pytest.raises(ArithmeticError,
+                           match=r"Pieri inversion of \(2, 0, 0\) reads "
+                                 r"\(1, 1, 0\), which does not come "
+                                 r"before it"):
+            build_table(GrassmannContext(2, 5))
+
+    @staticmethod
+    def _wrong_shift(monkeypatch, ctx, x, y):
+        """Make the build copy with the shift conjugated by the swap of
+        basis[x] and basis[y]; return that permutation's powers."""
+        shift_powers = quantum._shift_powers
+        shift = np.array([ctx.rank(c_shift(lam, 1, ctx.k, ctx.n))
+                          for lam in ctx.basis])
+        swap = np.arange(ctx.dim)
+        swap[[x, y]] = y, x
+        powers = shift_powers(swap[shift[swap]], ctx.n)
+        monkeypatch.setattr(quantum, "_shift_powers",
+                            lambda shift, n: powers)
+        return powers
+
+    @pytest.mark.parametrize("k, n, lam, mu", [
+        # the first wrong copy has gaps off a multiple of n, all >= 0
+        (4, 8, (0, 0, 0, 0), (1, 0, 0, 0)),
+        (3, 9, (0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
+        # ... and gaps that are multiples of n, some < 0
+        (4, 8, (0, 0, 0, 0), (4, 4, 0, 0)),
+        (3, 9, (0, 0, 0, 0, 0, 0), (3, 3, 3, 0, 0, 0)),
+        # ... and both
+        (4, 8, (1, 0, 0, 0), (2, 0, 0, 0)),
+        (3, 9, (1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0))])
+    def test_column_check_rejects_what_the_term_check_rejects(
+            self, ctx_of, table_of, monkeypatch, k, n, lam, mu):
+        # swapping diagrams of degrees apart breaks the degrees of the
+        # copies: the first wrong copy, taken from the true orbit first,
+        # fails the term check, and the build names the same term
+        ctx, table = ctx_of(k, n), table_of(k, n)
+        powers = self._wrong_shift(monkeypatch, ctx, ctx.rank(lam),
+                                   ctx.rank(mu))
+        first = powers.min(axis=0)
+        deg = [degree(x) for x in ctx.basis]
+        expected = None
+        for r in range(ctx.rank((1,) * ctx.l) + 1, ctx.dim):
+            s = (powers[:, first[r]] == r).argmax()
+            copied = table.basis_matrix(first[r])[:, powers[s]]
+            if (copied == table.basis_matrix(r)).all():
+                continue
+            bad = [(j, t) for j in range(ctx.dim) for t in range(ctx.dim)
+                   if copied[t, j] and (copied[t, j] < 0 or
+                                        deg[r] + deg[j] - deg[t] < 0 or
+                                        (deg[r] + deg[j] - deg[t]) % n)]
+            j, t = bad[0]
+            expected = (f"invalid structure constant {copied[t, j]} at "
+                        f"{ctx.basis[t]} in product {ctx.basis[r]} * "
+                        f"{ctx.basis[j]}")
+            break
+        with pytest.raises(ArithmeticError) as raised:
+            build_table(ctx)
+        assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("k, n, lam, mu", [
+        (4, 8, (2, 2, 2, 0), (2, 2, 1, 1)),
+        (3, 9, (2, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0))])
+    def test_degree_keeping_wrong_shift_reaches_the_oracle(
+            self, ctx_of, table_of, monkeypatch, k, n, lam, mu):
+        # swapping two diagrams of one degree keeps every copy's degrees,
+        # so the build accepts it, and the Giambelli oracle names every
+        # wrong matrix, the first of them a copy
+        ctx, table = ctx_of(k, n), table_of(k, n)
+        powers = self._wrong_shift(monkeypatch, ctx, ctx.rank(lam),
+                                   ctx.rank(mu))
+        bad = build_table(ctx)
+        wrong = {r for r in range(ctx.dim)
+                 if (bad.basis_matrix(r) != table.basis_matrix(r)).any()}
+        assert wrong and powers.min(axis=0)[min(wrong)] != min(wrong)
+        report = verify_commutativity(ctx, table=bad)
+        firsts = {ctx.rank(ctx.validate(f["pair"][0]))
+                  for f in report.failures if "table" in f}
+        assert firsts == wrong
+
     def test_build_reads_no_combinatorial_shift(self, ctx_of, table_of,
                                                 monkeypatch):
         # the build reads the shift off its own column class, so
