@@ -22,12 +22,21 @@ On a POSIX host with more CPUs than numpy's BLAS pool has threads
 OMP_NUM_THREADS sets fewer), verify --suite all runs the spectrum
 suites in one forked worker while this process runs the ring and
 involution suites; the output is the same byte for byte, and the
-memory is held by two processes, each with its own peak.  Every other
-suite choice, and every other host, runs them in this process through
-the same function, as does --suite all when the fork fails.
+memory is held by two processes, each with its own peak.  The worker
+only saves time: where it cannot be forked or gives no result, this
+process runs the spectrum suites after the others, so an error in
+them surfaces here with this process's traceback.  Every other suite
+choice, and every other host, runs them in this process through the
+same function.  It is a process because the ring suites hold the GIL:
+on 2 CPUs with BLAS on one thread, a thread in its place took a median
+507 ms against the fork's 324 ms for verify --suite all at G(4,9).  It
+needs a spare CPU because its BLAS pool would contend with this
+process: forked with default BLAS threads there, the run took a median
+493 ms against 389 ms in one process at G(4,9), and 2272 against
+2320 ms at G(5,10).
 verify --stats writes each suite's seconds and the process that ran
-it, the table's term count and the peak memory of each process to
-stderr.
+it, the table's term count, the peak memory of each process and, when
+the worker gave no result, how it ended, to stderr.
 """
 
 from __future__ import annotations
@@ -190,33 +199,18 @@ def _spare_cpu():
     return cpus > _blas_threads(cpus)
 
 
-class _WorkerTraceback(Exception):
-    """The traceback text of an exception raised in the worker."""
-
-
 def _worker(read_fd, write_fd, part):
-    """Body of the forked worker: pickle part's outcome into the pipe.
+    """Body of the forked worker: pickle part's result into the pipe.
 
-    Ends the process with os._exit, so it never returns into the
-    caller's stack and flushes none of the parent's buffers.
+    Exits 0 once the whole result is written, and 1, having written
+    nothing, when part raises or its result does not pickle.  Ends the
+    process with os._exit, so it never returns into the caller's stack
+    and flushes none of the parent's buffers.
     """
     status = 1
     try:
-        import traceback
         os.close(read_fd)
-        text = ""
-        try:
-            outcome = ("ok", part())
-        except BaseException as exc:
-            text = traceback.format_exc()
-            outcome = ("raised", exc, text)
-        try:
-            payload = pickle.dumps(outcome)
-            if text:
-                pickle.loads(payload)  # the exception must load there too
-        except Exception:  # an exception or result that does not pickle
-            payload = pickle.dumps(("raised", None,
-                                    text + traceback.format_exc()))
+        payload = pickle.dumps(part())
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)
         status = 0
@@ -224,16 +218,17 @@ def _worker(read_fd, write_fd, part):
         os._exit(status)
 
 
-def _beside_worker(main_part, worker_part):
+def _beside_worker(main_part, worker_part, log):
     """Run main_part here and worker_part in one forked worker, at once.
 
-    Returns both results, or None, having run neither, when no worker
-    can be forked.  The worker inherits everything built so far and
-    sends its result back pickled through a pipe.  An exception it
-    raised is raised here, caused by its traceback text; a worker that
-    ends without a result raises RuntimeError naming its exit status or
-    signal.  The worker is reaped before this returns or raises, and is
-    killed first if main_part raises.
+    Returns (here, there), their results; the worker inherits everything
+    built so far and sends its result back pickled through a pipe.
+    there is None when no worker can be forked, or when the worker ends
+    without exit status 0, for whatever reason; the caller then runs
+    the worker's part itself.  A worker that ran and gave no result
+    adds a line to log naming how it ended.  The worker is reaped
+    before this returns or raises, and is killed first if main_part
+    raises.
     """
     import signal
     read_fd, write_fd = os.pipe()
@@ -242,7 +237,7 @@ def _beside_worker(main_part, worker_part):
     except OSError:  # no process to spare, as under RLIMIT_NPROC
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        return main_part(), None
     if pid == 0:
         _worker(read_fd, write_fd, worker_part)
     os.close(write_fd)
@@ -258,18 +253,13 @@ def _beside_worker(main_part, worker_part):
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if status:
-        how = (f"signal {signal.Signals(-status).name}" if status < 0
-               else f"exit status {status}")
-        raise RuntimeError(f"the spectrum worker ended without a result "
-                           f"({how})")
-    outcome = pickle.loads(payload)
-    if outcome[0] == "ok":
-        return here, outcome[1]
-    _, exc, text = outcome
-    if exc is None:
-        raise RuntimeError(f"the spectrum worker raised:\n{text}")
-    raise exc from _WorkerTraceback(text)
+    if status == 0:
+        return here, pickle.loads(payload)
+    how = (f"signal {signal.Signals(-status).name}" if status < 0
+           else f"exit status {status}")
+    log.append(f"spectrum worker gave no result ({how}); its suites ran "
+               f"in main")
+    return here, None
 
 
 def _run_suites(ctx, which, tol, seed, log):
@@ -277,25 +267,30 @@ def _run_suites(ctx, which, tol, seed, log):
 
     For --suite all on a host with a spare CPU, the spectrum suites run
     in one forked worker while this process runs the ring and involution
-    suites; both read the one structure table built here.  log collects
-    the lines that --stats writes.
+    suites; both read the one structure table built here.  Where the
+    worker gives no result, this process runs them after the others.
+    log collects the lines that --stats writes.
     """
     table = _timed(log, "main", quantum.build_table, ctx)
     log.append(f"table terms {len(table.coeff)}")
-    if which == "all" and _spare_cpu():
-        def worker_part():
-            worker_log = []
-            reports = _spectrum_suites(ctx, tol, seed, table, worker_log,
-                                       "worker")
-            return reports, worker_log + [_peak_rss("worker")]
 
-        both = _beside_worker(
-            lambda: _ring_suites(ctx, which, seed, table, log), worker_part)
-        if both is not None:
-            reports, (spec_reports, worker_log) = both
-            log.extend(worker_log)
-            return reports + spec_reports
-    reports = _ring_suites(ctx, which, seed, table, log)
+    def ring_part():
+        return _ring_suites(ctx, which, seed, table, log)
+
+    def worker_part():
+        worker_log = []
+        reports = _spectrum_suites(ctx, tol, seed, table, worker_log,
+                                   "worker")
+        return reports, worker_log + [_peak_rss("worker")]
+
+    if which == "all" and _spare_cpu():
+        reports, there = _beside_worker(ring_part, worker_part, log)
+    else:
+        reports, there = ring_part(), None
+    if there is not None:
+        spec_reports, worker_log = there
+        log.extend(worker_log)
+        return reports + spec_reports
     if which in ("spectrum", "all"):
         reports += _spectrum_suites(ctx, tol, seed, table, log, "main")
     return reports

@@ -307,13 +307,14 @@ class StructureTable:
     arrays are not to be modified.
     """
 
-    __slots__ = ("ctx", "ptr", "key", "coeff")
+    __slots__ = ("ctx", "ptr", "key", "coeff", "_max_coeff")
 
     def __init__(self, ctx, ptr, key, coeff):
         self.ctx = ctx
         self.ptr = ptr
         self.key = key
         self.coeff = coeff
+        self._max_coeff = None    # read on the first call of matrix
 
     def product_ranks(self, ra, rb):
         """(rank, coefficient) pairs of basis[ra] * basis[rb], by rank."""
@@ -361,10 +362,19 @@ class StructureTable:
 
         vec is the class's integer coefficient vector, indexed by rank.
         Column j of the dim x dim int64 result holds the coordinates of
-        the class times basis[j].
+        the class times basis[j].  Raises OverflowError unless
+        sum |vec| times the largest stored magnitude is below 2**63, the
+        bound under which no entry's sum can wrap.
         """
         import numpy as np
         dim = self.ctx.dim
+        if self._max_coeff is None:
+            # no np.abs: a copy of coeff would raise the peak
+            self._max_coeff = max(int(self.coeff.max(initial=0)),
+                                  -int(self.coeff.min(initial=0)))
+        if sum(map(abs, vec.tolist())) * self._max_coeff >= _INT64_BOUND:
+            raise OverflowError("multiplication matrix entries could "
+                                "exceed the int64 range")
         ptr, key, coeff = self.ptr[::dim], self.key, self.coeff
         ranks = np.flatnonzero(vec)
         width = ptr[ranks + 1] - ptr[ranks]

@@ -243,21 +243,52 @@ class TestSpectrumWorker:
         monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
         monkeypatch.setattr(cli.spectrum, "verify_positivity",
                             broken_positivity)
+        fds = sorted(os.listdir("/dev/fd"))
         with pytest.raises(ValueError, match="internal fault") as info:
             cli.main(["verify", "--k", "2", "--n", "4", "--suite", "all"])
-        text = str(info.value.__cause__)
-        assert "Traceback" in text and "in broken_positivity" in text
-        assert "ValueError: internal fault" in text
+        # the worker gave no result, so this process ran the suite again
+        # and raised from its own frames
+        names = [entry.name for entry in info.traceback]
+        assert names[-2:] == ["_timed", "broken_positivity"]
+        assert "_run_suites" in names and "_spectrum_suites" in names
+        assert "_worker" not in names and info.value.__cause__ is None
+        assert sorted(os.listdir("/dev/fd")) == fds
         no_children_left()
 
-    def test_killed_worker_names_the_signal(self, monkeypatch):
-        def killed(ctx, classes, **kwargs):
-            os.kill(os.getpid(), signal.SIGKILL)
+    def test_killed_worker_names_the_signal(self, capsys, monkeypatch):
+        test_pid = os.getpid()
+        positivity = cli.spectrum.verify_positivity
 
-        monkeypatch.setattr(cli, "_spare_cpu", lambda: True)
+        def killed(ctx, classes, **kwargs):
+            if os.getpid() != test_pid:  # only the worker
+                os.kill(os.getpid(), signal.SIGKILL)
+            return positivity(ctx, classes, **kwargs)
+
+        here = self.verify_all(capsys, monkeypatch, 2, 4, False)
         monkeypatch.setattr(cli.spectrum, "verify_positivity", killed)
-        with pytest.raises(RuntimeError, match="signal SIGKILL"):
-            cli.main(["verify", "--k", "2", "--n", "4", "--suite", "all"])
+        there = self.verify_all(capsys, monkeypatch, 2, 4, True, "--stats")
+        assert here[0] == there[0] == 0 and here[1] == there[1]
+        assert ("stats: spectrum worker gave no result (signal SIGKILL); "
+                "its suites ran in main\n") in there[2]
+        assert re.search(r"^stats: verify_vanishing [0-9.]+ s main$",
+                         there[2], re.M)
+        no_children_left()
+
+    def test_unpicklable_report_reruns_here(self, capsys, monkeypatch):
+        from qgr.reports import VerifyReport
+
+        class Label(str):  # a class local to the test does not pickle
+            pass
+
+        def failing(ctx, classes, **kwargs):
+            return VerifyReport("positivity", ctx.k, ctx.n, 1,
+                                [{"class": Label("x")}])
+
+        monkeypatch.setattr(cli.spectrum, "verify_positivity", failing)
+        here = self.verify_all(capsys, monkeypatch, 2, 4, False)
+        there = self.verify_all(capsys, monkeypatch, 2, 4, True, "--stats")
+        assert here[0] == there[0] == 1 and here[1] == there[1]
+        assert "gave no result (exit status 1)" in there[2]
         no_children_left()
 
     def test_long_failure_list_passes_the_pipe(self, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            row_class, terms_json, unit_class, zero_class)
 from qgr.involution import bar
 from qgr.partitions import GrassmannContext
-from qgr.quantum import quantum_product
+from qgr.quantum import StructureTable, quantum_product
 from qgr.spectrum import (DegenerateSpectrum, conjugation_point_permutation,
                           evaluate, joint_eigenbasis, mult_matrix,
                           random_integer_classes, spectrum_json_dict,
@@ -104,6 +104,26 @@ class TestMultMatrixContraction:
         c = 2 ** 31 * unit_class(ctx_of(2, 4))
         with pytest.raises(OverflowError):
             mult_matrix(c, table=table_of(2, 4))
+
+    def test_wrapping_entry_sum_raises(self, ctx_of):
+        # every class coefficient and the wrapped entry -4 pass the entry
+        # bound, but entry [0, 0] is 4 * (2**31 - 1)**2 + 8 * (2**31 - 1),
+        # that is 2**64 - 4
+        ctx = ctx_of(2, 4)
+        dim = ctx.dim
+        width = np.zeros(dim * dim, dtype=np.int64)
+        width[[r * dim for r in range(5)]] = 1     # the pairs (r, 0)
+        ptr = np.concatenate([[0], np.cumsum(width)])
+        table = StructureTable(ctx, ptr, np.zeros(5, dtype=np.int32),
+                               np.full(5, 2 ** 31 - 1, dtype=np.int32))
+        c = CohomClass(ctx, {0: 2 ** 31 - 1, 1: 2 ** 31 - 1, 2: 2 ** 31 - 1,
+                             3: 2 ** 31 - 1, 4: 8})
+        with pytest.raises(OverflowError, match="int64 range"):
+            mult_matrix(c, table=table)
+        # one term per entry cannot wrap, and the table still serves it
+        vec = np.zeros(dim, dtype=np.int64)
+        vec[0] = 2 ** 31 - 1
+        assert table.matrix(vec)[0, 0] == (2 ** 31 - 1) ** 2
 
 
 @st.composite
