@@ -16,6 +16,11 @@ class-valued commands to a terms array; verify and spectrum always
 emit JSON reports.  spectrum prints the closed-form points in subset
 order and takes no seed; verify --seed draws the associativity and
 dual-product triples and the random classes of the spectrum suites.
+verify --tol sets only the positivity gates: the spectrum that verify
+builds keeps the 1e-8 bound on its Pieri residuals, the bound that
+spectrum --tol sets for the spectrum command.  verify builds one
+structure table and one spectrum and passes them to every suite that
+reads them.
 
 On a POSIX host with more CPUs than numpy's BLAS pool has threads
 (one per CPU unless OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or

@@ -19,7 +19,7 @@ from .classical import (basis_class, pairing, rank_map, relabel, row_class,
                         terms_json)
 from .partitions import bar_involution, c_shift, poincare_dual, trim
 from .quantum import (DEFAULT_SEED, _pieri_matrix, _seeded_triples,
-                      build_table, gw_invariant, quantum_product)
+                      gw_invariant, quantum_product)
 from .reports import VerifyReport
 
 
@@ -43,18 +43,15 @@ def verify_involution_factorization(ctx):
                         ctx.dim, failures)
 
 
-def verify_product_automorphism(ctx, table=None):
+def verify_product_automorphism(ctx, table):
     """Check bar(S_lam * S_mu) = bar(S_lam) * bar(S_mu) over basis pairs.
 
     Runs every unordered pair (diagonal included), one diagram at a
     time, as the matrix identity M_lam = M_{bar lam}[bar, bar] on the
     columns mu >= lam, with M the table's multiplication matrices and
     bar the rank permutation.  Pairs whose columns differ are
-    recomputed as classes, to write their failure records.  Without a
-    table, one is built.
+    recomputed as classes, to write their failure records.
     """
-    if table is None:
-        table = build_table(ctx)
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
     for ra in range(ctx.dim):
@@ -75,7 +72,7 @@ def verify_product_automorphism(ctx, table=None):
                         ctx.dim * (ctx.dim + 1) // 2, failures)
 
 
-def verify_duality_identities(ctx, table=None):
+def verify_duality_identities(ctx, table):
     """Check the two exact identities tying duality to the shift.
 
     First, dual(shift^k A) = shift^(n-k)(dual A) on every basis
@@ -85,10 +82,8 @@ def verify_duality_identities(ctx, table=None):
     M_{dual A}[dual bar (r), dual S] of the table's multiplication
     matrix, read for all S and r at once per diagram A.  The former is
     read off the whole Pieri matrix of (r): it is 1 exactly where dual S
-    lies in the Pieri row of A.  Without a table, one is built.
+    lies in the Pieri row of A.
     """
-    if table is None:
-        table = build_table(ctx)
     failures = []
     checked = 0
     for lam in ctx.basis:
@@ -127,8 +122,7 @@ def verify_duality_identities(ctx, table=None):
     return VerifyReport("duality_identities", ctx.k, ctx.n, checked, failures)
 
 
-def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
-                                 table=None):
+def verify_dual_product_identity(ctx, table, samples=1000, seed=DEFAULT_SEED):
     """Check dual(A*C) = dual(A) * bar(C) and the matching invariants.
 
     The first identity runs over all ordered basis pairs, one diagram A
@@ -140,13 +134,11 @@ def verify_dual_product_identity(ctx, samples=1000, seed=DEFAULT_SEED,
     all at once: the coefficient of dual B in A * C against that of
     dual bar B in dual A * dual C, read off StructureTable.pair_products.
     Triples that differ are recomputed as classes, to write their
-    failure records.  Without a table, one is built.
+    failure records.
     """
     def dual(lam):
         return poincare_dual(lam, ctx.k)
 
-    if table is None:
-        table = build_table(ctx)
     dual_rank = rank_map(ctx, dual)
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []

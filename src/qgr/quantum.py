@@ -43,7 +43,7 @@ from typing import Optional
 
 from .classical import (CohomClass, _cup_rows, _same_ctx, basis_class,
                         classical_pieri, column_class, cup_product, pairing,
-                        relabel, terms_json, unit_class)
+                        rank_map, relabel, terms_json)
 from .partitions import c_shift, degree, nonzero_rows, poincare_dual, trim
 from .reports import VerifyReport
 
@@ -725,22 +725,20 @@ def _giambelli_matrices(ctx):
         yield rank, g
 
 
-def verify_commutativity(ctx, table=None):
+def verify_commutativity(ctx, table):
     """Compute each basis product both ways and compare.
 
     The two orientations expand different factors through the
     determinant, so they exercise genuinely different code paths.  Each
     diagram's expansion runs once over all columns (_giambelli_matrices)
-    and must equal the diagram's multiplication matrix in the table,
-    built here when none is given.  The table stores both orders of
-    every pair, and each order is held to the expansion of its first
-    factor.  Only pairs that disagree are recomputed per pair, to write
-    their failure records: one for two orientations that differ, one
-    for each order whose stored product differs from its expansion.
+    and must equal the diagram's multiplication matrix in the table.
+    The table stores both orders of every pair, and each order is held
+    to the expansion of its first factor.  Only pairs that disagree are
+    recomputed per pair, to write their failure records: one for two
+    orientations that differ, one for each order whose stored product
+    differs from its expansion.
     """
     import numpy as np
-    if table is None:
-        table = build_table(ctx)
     suspects = set()
     for ra, g in _giambelli_matrices(ctx):
         diff = (g != table.basis_matrix(ra)).any(axis=0)
@@ -778,18 +776,17 @@ def _seeded_triples(ctx, samples, seed):
                      for _ in range(samples)], dtype=np.int64).reshape(-1, 3)
 
 
-def verify_associativity(ctx, samples=1000, seed=DEFAULT_SEED, table=None):
-    """(A*B)*C = A*(B*C) on seeded basis triples, exactly over Z.
+def verify_associativity(ctx, table, samples=1000, seed=DEFAULT_SEED):
+    """(A*B)*C = (B*C)*A on seeded basis triples, exactly over Z.
 
+    With commutativity, checked on its own, this is associativity.
     Every triple runs at once on the table's arrays: each side is two
     rounds of StructureTable.pair_products, summed per triple into a
     dense samples x dim integer array.  Triples whose sides differ are
-    recomputed as classes, to write their failure records.  Without a
-    table, one is built.
+    recomputed as classes, to write their failure records: lhs is
+    (A*B)*C and rhs is (B*C)*A, each product in the order compared.
     """
     import numpy as np
-    if table is None:
-        table = build_table(ctx)
     triples = _seeded_triples(ctx, samples, seed)
     ones = np.ones(samples, dtype=np.int64)
 
@@ -810,7 +807,7 @@ def verify_associativity(ctx, samples=1000, seed=DEFAULT_SEED, table=None):
         a, b, c = (basis_class(ctx, ctx.basis[r]) for r in triple)
         lhs = quantum_product(quantum_product(a, b, table=table), c,
                               table=table)
-        rhs = quantum_product(a, quantum_product(b, c, table=table),
+        rhs = quantum_product(quantum_product(b, c, table=table), a,
                               table=table)
         failures.append({"triple": [list(trim(ctx.basis[r]))
                                     for r in triple],
@@ -820,7 +817,7 @@ def verify_associativity(ctx, samples=1000, seed=DEFAULT_SEED, table=None):
     return VerifyReport("associativity", ctx.k, ctx.n, samples, failures)
 
 
-def verify_grading(ctx, table=None):
+def verify_grading(ctx, table):
     """Degree law of every basis product, and its classical top part.
 
     Each term of S_lam * S_mu must have degree congruent to
@@ -832,11 +829,9 @@ def verify_grading(ctx, table=None):
     the entries of gap 0 must equal the cup matrix of lam, read off the
     batched Littlewood-Richardson rows (classical._cup_rows).  Pairs
     that fail are recomputed as classes, to write their failure
-    records.  Without a table, one is built.
+    records.
     """
     import numpy as np
-    if table is None:
-        table = build_table(ctx)
     deg = np.array([degree(lam) for lam in ctx.basis])
     failures = []
     for ra in range(ctx.dim):
@@ -889,26 +884,30 @@ def verify_pieri_consistency(ctx):
 def verify_giambelli(ctx):
     """Evaluate each diagram's determinant expansion against the unit."""
     failures = []
-    for lam in ctx.basis:
-        acc = CohomClass(ctx, {})
-        for coeff, rows in giambelli_expand(lam, ctx.k):
-            cur = unit_class(ctx)
-            for r in rows:
-                cur = quantum_pieri_product(r, cur)
-            acc = acc + coeff * cur
-        if acc != basis_class(ctx, lam):
-            failures.append({"lam": list(trim(lam)),
-                             "evaluated": terms_json(acc)})
+    for rank, lam in enumerate(ctx.basis):
+        evaluated = _product_via_giambelli(ctx, rank, 0)    # rank 0: unit
+        if evaluated != {rank: 1}:
+            failures.append({"lam": list(trim(lam)), "evaluated": terms_json(
+                CohomClass(ctx, evaluated))})
     failures.sort(key=lambda f: f["lam"])
     return VerifyReport("giambelli", ctx.k, ctx.n, ctx.dim, failures)
 
 
-def verify_cyclic(ctx, table=None):
-    """Shift-by-one vs multiplication by the column class, plus period n."""
+def verify_cyclic(ctx, table):
+    """Shift-by-one vs multiplication by the column class, plus period n.
+
+    The period is the shift by one applied n times, as its rank
+    permutation composed n times.
+    """
+    import numpy as np
     col = column_class(ctx)
+    step = rank_map(ctx, lambda lam: c_shift(lam, 1, ctx.k, ctx.n))
+    power = np.arange(ctx.dim)
+    for _ in range(ctx.n):
+        power = step[power]
     failures = []
     checked = 0
-    for lam in ctx.basis:
+    for rank, lam in enumerate(ctx.basis):
         a = basis_class(ctx, lam)
         checked += 1
         shifted = c_apply(a, 1)
@@ -918,7 +917,7 @@ def verify_cyclic(ctx, table=None):
                              "shift": terms_json(shifted),
                              "product": terms_json(multiplied)})
         checked += 1
-        if c_apply(a, ctx.n) != a:
+        if power[rank] != rank:
             failures.append({"lam": list(trim(lam)), "kind": "period"})
     failures.sort(key=lambda f: (f["lam"], f["kind"]))
     return VerifyReport("cyclic", ctx.k, ctx.n, checked, failures)

@@ -34,13 +34,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .classical import CohomClass, basis_class, rank_map, terms_json
+from .classical import CohomClass, rank_map, terms_json
 from .partitions import bar_involution, degree, format_partition, trim
-from .quantum import DEFAULT_SEED, _pieri_matrix, build_table
+from .quantum import DEFAULT_SEED, _pieri_matrix
 from .reports import VerifyReport
 
 RESIDUAL_TOL = 1e-8
 CONJUGATION_TOL = 1e-6
+# a value below this magnitude counts as zero in verify_vanishing
+VANISHING_TOL = 1e-7
+# random_integer_classes draws coefficients of at most this size
+RANDOM_COEFF_BOUND = 5
 # two points whose generating values agree this closely are one point
 SEPARATION_TOL = 1e-6
 
@@ -64,15 +68,12 @@ def _coeff_vector(c, dtype=np.int64):
     return vec
 
 
-def mult_matrix(c, table=None):
+def mult_matrix(c, table):
     """Integer matrix of quantum multiplication by a class.
 
     Column j holds the coordinates of c * basis[j].  The map is linear
     in c and turns products into matrix products.
     """
-    ctx = c.ctx
-    if table is None:
-        table = build_table(ctx)
     for coeff in c.terms.values():
         if abs(coeff) >= _ENTRY_BOUND:
             raise OverflowError(f"coefficient {coeff} too large")
@@ -200,12 +201,12 @@ def evaluate(a, spectral):
     return spectral.characters @ _coeff_vector(a, np.float64)
 
 
-def conjugation_point_permutation(spectral, tol=CONJUGATION_TOL):
+def conjugation_point_permutation(spectral):
     """The point map S -> S-bar of complex conjugation, checked.
 
     Entry i is the index of the conjugate subset of point i.  Returns
     None unless every point's conjugated coordinates match those of
-    its image within tol.
+    its image within CONJUGATION_TOL.
     """
     ctx = spectral.ctx
     index = {p.subset: p.index for p in spectral.points}
@@ -213,43 +214,30 @@ def conjugation_point_permutation(spectral, tol=CONJUGATION_TOL):
                                for j in p.subset))]
             for p in spectral.points]
     coords = np.array([p.coords for p in spectral.points])
-    if not np.abs(coords[perm] - coords.conj()).max(initial=0.0) <= tol:
-        return None
-    return perm
+    deviation = np.abs(coords[perm] - coords.conj()).max(initial=0.0)
+    return perm if deviation <= CONJUGATION_TOL else None
 
 
-def verify_conjugation(ctx, tol=CONJUGATION_TOL, spectral=None):
+def verify_conjugation(ctx, spectral):
     """Character of bar(S) vs conjugated character of S, every point."""
-    if spectral is None:
-        spectral = joint_eigenbasis(ctx)
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     chars = spectral.characters
     dev = np.abs(chars[:, bar_rank] - chars.conj())
     failures = [{"point": p, "lam": list(trim(ctx.basis[rank])),
                  "deviation": float(dev[p, rank])}
-                for p, rank in np.argwhere(~(dev <= tol)).tolist()]
+                for p, rank in np.argwhere(~(dev <= CONJUGATION_TOL)).tolist()]
     failures.sort(key=lambda f: (f["point"], f["lam"]))
     return VerifyReport("conjugation", ctx.k, ctx.n, dev.size, failures,
                         extra={"max_deviation": float(dev.max(initial=0.0))})
 
 
-def verify_point_conjugation(ctx, tol=CONJUGATION_TOL, spectral=None):
+def verify_point_conjugation(ctx, spectral):
     """Conjugation maps the point S to the point S-bar."""
-    if spectral is None:
-        spectral = joint_eigenbasis(ctx)
-    perm = conjugation_point_permutation(spectral, tol=tol)
+    perm = conjugation_point_permutation(spectral)
     failures = [] if perm is not None else [
         {"problem": "conjugated coordinates do not match the point set"}]
     return VerifyReport("point_conjugation", ctx.k, ctx.n,
                         len(spectral.points), failures)
-
-
-def _bar_vector(c, bar_rank, dtype=np.int64):
-    """Coefficient vector of bar(c), given the rank map of bar."""
-    vec = np.zeros(c.ctx.dim, dtype=dtype)
-    for rank, coeff in c.terms.items():
-        vec[bar_rank[rank]] += coeff
-    return vec
 
 
 def _gram_certified(mat, m_c):
@@ -268,7 +256,9 @@ def _gram_certified(mat, m_c):
 
 def _positivity_issues(c, bar_rank, spectral, magnitudes, table, tol):
     m_c = mult_matrix(c, table=table)
-    v = _bar_vector(c, bar_rank)
+    vec = _coeff_vector(c)
+    v = np.zeros_like(vec)          # the coefficients of bar(C)
+    v[bar_rank] = vec
     # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
     if int(np.abs(m_c).max(initial=0)) * int(np.abs(v).sum()) >= 2 ** 63:
         raise OverflowError("C * bar(C) exceeds the safe integer bound")
@@ -296,8 +286,7 @@ def _positivity_issues(c, bar_rank, spectral, magnitudes, table, tol):
     return issues
 
 
-def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
-                      table=None):
+def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     """Symmetry and semipositivity of multiplication by C * bar(C).
 
     Checks, for each class C, that the matrix of C * bar(C) is
@@ -314,12 +303,6 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
     matrix is built from them; the Gram identity is checked, never
     assumed, so no step assumes associativity.
     """
-    if table is None:
-        table = build_table(ctx)
-    if spectral is None:
-        spectral = joint_eigenbasis(ctx)
-    if classes is None:
-        classes = [basis_class(ctx, lam) for lam in ctx.basis]
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     magnitudes = np.abs(spectral.characters)
     failures = []
@@ -332,23 +315,23 @@ def verify_positivity(ctx, classes=None, tol=RESIDUAL_TOL, spectral=None,
     return VerifyReport("positivity", ctx.k, ctx.n, len(classes), failures)
 
 
-def verify_vanishing(ctx, classes=None, tol=1e-7, spectral=None):
-    """C vanishes at a point exactly when bar(C) does, within tol.
+def verify_vanishing(ctx, classes, spectral):
+    """C vanishes at a point exactly when bar(C) does, within VANISHING_TOL.
 
     A value that is not finite fails at its point.
     """
-    if spectral is None:
-        spectral = joint_eigenbasis(ctx)
-    if classes is None:
-        classes = [basis_class(ctx, lam) for lam in ctx.basis]
     chars = spectral.characters
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
     checked = 0
     for i, c in enumerate(classes):
-        values = chars @ _coeff_vector(c, np.float64)
-        bar_values = chars @ _bar_vector(c, bar_rank, np.float64)
-        bad = ((np.abs(values) < tol) != (np.abs(bar_values) < tol)) \
+        vec = _coeff_vector(c, np.float64)
+        bar_vec = np.zeros_like(vec)
+        bar_vec[bar_rank] = vec
+        values = chars @ vec
+        bar_values = chars @ bar_vec
+        bad = ((np.abs(values) < VANISHING_TOL)
+               != (np.abs(bar_values) < VANISHING_TOL)) \
             | ~np.isfinite(values) | ~np.isfinite(bar_values)
         checked += len(values)
         for p in np.flatnonzero(bad).tolist():
@@ -359,10 +342,11 @@ def verify_vanishing(ctx, classes=None, tol=1e-7, spectral=None):
     return VerifyReport("vanishing", ctx.k, ctx.n, checked, failures)
 
 
-def random_integer_classes(ctx, count, seed=DEFAULT_SEED, bound=5):
-    """Seeded dense classes with coefficients in [-bound, bound]."""
+def random_integer_classes(ctx, count, seed=DEFAULT_SEED):
+    """Seeded dense classes with coefficients within RANDOM_COEFF_BOUND."""
     rng = random.Random(seed)
-    return [CohomClass(ctx, {r: rng.randint(-bound, bound)
+    return [CohomClass(ctx, {r: rng.randint(-RANDOM_COEFF_BOUND,
+                                            RANDOM_COEFF_BOUND)
                              for r in range(ctx.dim)})
             for _ in range(count)]
 

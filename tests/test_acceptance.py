@@ -9,7 +9,7 @@ stated.
 import json
 import time
 
-from qgr import cli
+from qgr import cli, spectrum
 from qgr.classical import basis_class
 from qgr.involution import (verify_dual_product_identity,
                             verify_duality_identities,
@@ -157,7 +157,7 @@ def test_criterion_7_structural_suite(ctx_of, table_of):
                 step = c_shift(step, 1, k, n)
             assert step == lam
             diagrams += 1
-        r = verify_cyclic(ctx)
+        r = verify_cyclic(ctx_of(k, n), table=table_of(k, n))
         assert r.ok, (k, n)
     elapsed = time.monotonic() - start
     report(7, True,
@@ -171,7 +171,7 @@ def test_criterion_8_ring_axioms(ctx_of, table_of):
     pairs = 0
     for k, n in all_contexts(8):
         ctx, table = ctx_of(k, n), table_of(k, n)
-        r = verify_commutativity(ctx)
+        r = verify_commutativity(ctx, table=table)
         assert r.ok, (k, n)
         pairs += r.checked
         r = verify_associativity(ctx, samples=1000, table=table)
@@ -187,6 +187,7 @@ def test_criterion_8_ring_axioms(ctx_of, table_of):
 
 def test_criterion_9_spectrum_suite(ctx_of, table_of, spectral_of):
     from math import comb
+    assert spectrum.CONJUGATION_TOL == 1e-6
     start = time.monotonic()
     for k, n in [(1, 2), (2, 4), (2, 5), (3, 6)]:
         sd = spectral_of(k, n)
@@ -194,7 +195,7 @@ def test_criterion_9_spectrum_suite(ctx_of, table_of, spectral_of):
         assert all(p.residual <= 1e-8 for p in sd.points), (k, n)
         r = verify_conjugation(ctx_of(k, n), spectral=sd)
         assert r.ok and r.extra["max_deviation"] <= 1e-6, (k, n)
-        perm = conjugation_point_permutation(sd, tol=1e-6)
+        perm = conjugation_point_permutation(sd)
         assert perm is not None and sorted(perm) == list(range(comb(n, k)))
     elapsed = time.monotonic() - start
     report(9, elapsed < 30.0,
@@ -203,6 +204,7 @@ def test_criterion_9_spectrum_suite(ctx_of, table_of, spectral_of):
 
 
 def test_criterion_10_positivity_suite(ctx_of, table_of, spectral_of):
+    assert spectrum.VANISHING_TOL == 1e-7
     start = time.monotonic()
     checked = 0
     for k, n in all_contexts(6):
@@ -214,8 +216,7 @@ def test_criterion_10_positivity_suite(ctx_of, table_of, spectral_of):
                               table=table_of(k, n))
         assert r.ok, (k, n, r.failures[:2])
         checked += r.checked
-        r = verify_vanishing(ctx, classes, tol=1e-7,
-                             spectral=spectral_of(k, n))
+        r = verify_vanishing(ctx, classes, spectral=spectral_of(k, n))
         assert r.ok, (k, n, r.failures[:2])
     elapsed = time.monotonic() - start
     report(10, True,

@@ -410,8 +410,9 @@ class TestSpectrumCommand:
         def refuse(ctx):
             raise AssertionError("spectrum built a structure table")
 
+        # the spectrum module can reach a table only through quantum
+        assert not hasattr(cli.spectrum, "build_table")
         monkeypatch.setattr(cli.quantum, "build_table", refuse)
-        monkeypatch.setattr(cli.spectrum, "build_table", refuse)
         code, out, _ = run(capsys, "spectrum", "--k", "3", "--n", "6")
         assert code == 0 and len(json.loads(out)["points"]) == 20
 

@@ -13,7 +13,7 @@ from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            zero_class)
 from qgr.partitions import (GrassmannContext, c_shift, degree,
                             poincare_dual, trim)
-from qgr.quantum import (GWRecord, _basis_product,
+from qgr.quantum import (DEFAULT_SEED, GWRecord, _basis_product,
                          _giambelli_matrices, _product_via_giambelli,
                          build_table, c_apply, giambelli_expand,
                          gw_invariant, gw_record, quantum_pieri_invariant,
@@ -197,9 +197,9 @@ class TestQuantumProduct:
 
 
 class TestRingSuites:
-    def test_commutativity_small(self, ctx_of):
+    def test_commutativity_small(self, ctx_of, table_of):
         for k, n in all_contexts(6):
-            assert verify_commutativity(ctx_of(k, n)).ok
+            assert verify_commutativity(ctx_of(k, n), table=table_of(k, n)).ok
 
     def test_associativity_small(self, ctx_of, table_of):
         for k, n in all_contexts(6):
@@ -217,8 +217,8 @@ class TestRingSuites:
 
     def test_commutativity_checks_the_table(self, ctx_of, table_of):
         ctx, table = ctx_of(2, 4), table_of(2, 4)
-        plain = verify_commutativity(ctx)
-        assert verify_commutativity(ctx, table=table) == plain
+        plain = verify_commutativity(ctx, table=table)
+        assert plain.ok
         point = ctx.rank((2, 2))
         bad = with_terms(table, {(point, point, 0): 1})
         report = verify_commutativity(ctx, table=bad)
@@ -269,7 +269,7 @@ def _commutativity_reference(ctx, table):
 
 
 class TestCommutativityFailureRecords:
-    def test_corrupted_pieri_row_without_table(self, monkeypatch):
+    def test_corrupted_pieri_row_with_true_table(self, monkeypatch):
         pieri_row = quantum._pieri_row
 
         def corrupted(ctx, r, rank):
@@ -280,20 +280,11 @@ class TestCommutativityFailureRecords:
         for k, n in [(2, 5), (3, 6)]:
             ctx = GrassmannContext(k, n)
             table = build_table(ctx)    # from the true Pieri rows
-            built = []
-
-            def build(c):
-                built.append(c)
-                return table
-
             with monkeypatch.context() as patch:
-                # the suite builds its own table, and only the
-                # Giambelli side sees the corrupted row
-                patch.setattr(quantum, "build_table", build)
+                # only the Giambelli side sees the corrupted row
                 patch.setattr(quantum, "_pieri_row", corrupted)
-                report = verify_commutativity(ctx)
+                report = verify_commutativity(ctx, table=table)
                 expected = _commutativity_reference(ctx, table)
-            assert built == [ctx]
             kinds = {tuple(sorted(f)) for f in expected}
             assert kinds == {("giambelli", "pair", "table"),
                              ("lhs", "pair", "rhs")}, (k, n)
@@ -500,7 +491,7 @@ def _associativity_reference(ctx, table, samples, seed):
         a, b, c = (basis_class(ctx, ctx.basis[r]) for r in ranks)
         lhs = quantum_product(quantum_product(a, b, table=table), c,
                               table=table)
-        rhs = quantum_product(a, quantum_product(b, c, table=table),
+        rhs = quantum_product(quantum_product(b, c, table=table), a,
                               table=table)
         if lhs != rhs:
             failures.append({"triple": [list(trim(ctx.basis[r]))
@@ -525,17 +516,17 @@ class TestAssociativityFailureRecords:
             assert expected and report.failures == expected, (k, n)
             assert report.checked == 1000
 
-    def test_builds_a_table_when_none_is_given(self, ctx_of, monkeypatch):
-        ctx = ctx_of(2, 5)
-        built = []
-
-        def build(c):
-            built.append(c)
-            return build_table(c)
-
-        monkeypatch.setattr(quantum, "build_table", build)
-        report = verify_associativity(ctx, samples=50)
-        assert report.ok and report.checked == 50 and built == [ctx]
+    def test_records_show_the_compared_sides(self, ctx_of, table_of):
+        # one order of one pair changes, so the table is not commutative
+        # and A*(B*C) can equal (A*B)*C where (B*C)*A does not
+        ctx, table = ctx_of(2, 4), table_of(2, 4)
+        bad = with_terms(table, {(ctx.rank((2, 1)), ctx.rank((1, 0)),
+                                  ctx.rank((2, 2))): 1})
+        report = verify_associativity(ctx, samples=200, table=bad)
+        assert report.failures == _associativity_reference(ctx, bad, 200,
+                                                           DEFAULT_SEED)
+        assert report.failures
+        assert all(f["lhs"] != f["rhs"] for f in report.failures)
 
     def test_overflow_raises(self, ctx_of, table_of):
         ctx, table = ctx_of(2, 4), table_of(2, 4)
@@ -607,6 +598,24 @@ class TestCyclicOperator:
     def test_shift_equals_column_multiplication(self, ctx_of, table_of):
         for k, n in all_contexts(6):
             assert verify_cyclic(ctx_of(k, n), table=table_of(k, n)).ok
+
+    def test_period_applies_the_shift_n_times(self, ctx_of, table_of,
+                                              monkeypatch):
+        # a shift by one of period 2 that still reduces j mod n: only
+        # the shift applied n = 3 times shows that its period is not n
+        ctx = ctx_of(1, 3)
+        swap = {ctx.basis[0]: ctx.basis[1], ctx.basis[1]: ctx.basis[0]}
+
+        def transposition(lam, j, k, n):
+            for _ in range(j % n):
+                lam = swap.get(lam, lam)
+            return lam
+
+        monkeypatch.setattr(quantum, "c_shift", transposition)
+        report = verify_cyclic(ctx, table=table_of(1, 3))
+        assert report.checked == 2 * ctx.dim
+        assert [f["lam"] for f in report.failures
+                if f["kind"] == "period"] == [[], [1]]
 
 
 class TestStructureTable:
