@@ -40,8 +40,10 @@ process: forked with default BLAS threads there, the run took a median
 493 ms against 389 ms in one process at G(4,9), and 2272 against
 2320 ms at G(5,10).
 verify --stats writes each suite's seconds and the process that ran
-it, the table's term count, the peak memory of each process and, when
-the worker gave no result, how it ended, to stderr.
+it, the table's term count, the column blocks of the commutativity
+oracle and its most prefix matrices held at once, the entries of each
+process's ring and cup memos, the peak memory of each process and,
+when the worker gave no result, how it ended, to stderr.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import pickle
 import sys
 import time
 
-from . import involution, quantum, spectrum
+from . import classical, involution, quantum, spectrum
 from .classical import basis_class, terms_json
 from .partitions import GrassmannContext, parse_partition, poincare_dual
 from .quantum import DEFAULT_SEED
@@ -144,7 +146,9 @@ def _timed(log, where, fn, *args, **kwargs):
 def _ring_suites(ctx, which, seed, table, log):
     """The ring and involution suites that `which` selects, in order."""
     def run(fn, **kwargs):
-        return _timed(log, "main", fn, ctx, **kwargs)
+        report = _timed(log, "main", fn, ctx, **kwargs)
+        log.extend(report.stats)
+        return report
 
     reports = []
     if which in ("ring", "all"):
@@ -286,7 +290,8 @@ def _run_suites(ctx, which, tol, seed, log):
         worker_log = []
         reports = _spectrum_suites(ctx, tol, seed, table, worker_log,
                                    "worker")
-        return reports, worker_log + [_peak_rss("worker")]
+        return reports, worker_log + [_cache_use(ctx, "worker"),
+                                      _peak_rss("worker")]
 
     if which == "all" and _spare_cpu():
         reports, there = _beside_worker(ring_part, worker_part, log)
@@ -333,7 +338,7 @@ def cmd_verify(args):
            "failures": failed}
     print(json.dumps(doc, separators=(",", ":")))
     if args.stats:
-        _write_stats(log)
+        _write_stats(ctx, log)
     return 0 if failed == 0 else 1
 
 
@@ -345,9 +350,18 @@ def _peak_rss(where):
     return f"peak RSS {peak:.1f} MB {where}"
 
 
-def _write_stats(log):
-    """Write verify's log and this process's peak memory to stderr."""
-    for line in log + [_peak_rss("main")]:
+def _cache_use(ctx, where):
+    """The --stats line for the entries this process's ring and cup
+    memos hold for ctx."""
+    ring = len(quantum._RING_CACHE.get((ctx.k, ctx.n), ()))
+    cup = len(classical._CUP_CACHE.get((ctx.k, ctx.n), ()))
+    return f"cache entries ring {ring} cup {cup} {where}"
+
+
+def _write_stats(ctx, log):
+    """Write verify's log, this process's memo entries and its peak
+    memory to stderr."""
+    for line in log + [_cache_use(ctx, "main"), _peak_rss("main")]:
         print(f"stats: {line}", file=sys.stderr)
 
 

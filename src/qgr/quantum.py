@@ -28,11 +28,11 @@ they are built, as integer arrays.
 A single product (mul, gw) expands one factor by the Giambelli
 determinant in single-row classes (valid verbatim in the quantum ring)
 and applies the scalar row rule repeatedly.  The same expansion, run
-once per diagram over all columns (_giambelli_matrices), is the
-independent oracle the table is checked against, so the commutativity
-suite holds the array form of the rule against the scalar one; the
-test suite validates the expansion against the ring axioms rather than
-trusting it.
+once per diagram over each block of columns (_giambelli_matrices), is
+the independent oracle the table is checked against, so the
+commutativity suite holds the array form of the rule against the
+scalar one; the test suite validates the expansion against the ring
+axioms rather than trusting it.
 """
 
 from __future__ import annotations
@@ -390,12 +390,21 @@ class StructureTable:
 
     def basis_matrix(self, rank):
         """Integer matrix of multiplication by basis[rank]."""
+        return self.basis_columns(rank, 0, self.ctx.dim)
+
+    def basis_columns(self, rank, lo, hi):
+        """Columns lo:hi of the integer matrix of basis[rank], dim rows.
+
+        They are the products with basis[lo], ..., basis[hi - 1], the
+        one slice ptr[rank * dim + lo]:ptr[rank * dim + hi].
+        """
         import numpy as np
         dim = self.ctx.dim
-        seg = slice(self.ptr[rank * dim], self.ptr[rank * dim + dim])
-        mat = np.zeros(dim * dim, dtype=np.int64)
-        mat[self.key[seg]] = self.coeff[seg]    # one term per (column, target)
-        return mat.reshape(dim, dim).T
+        seg = slice(self.ptr[rank * dim + lo], self.ptr[rank * dim + hi])
+        mat = np.zeros((hi - lo) * dim, dtype=np.int64)
+        # one term per (column, target)
+        mat[self.key[seg] - lo * dim] = self.coeff[seg]
+        return mat.reshape(hi - lo, dim).T
 
     def __eq__(self, other):
         import numpy as np
@@ -631,12 +640,14 @@ def build_table(ctx):
 
 
 def _pieri_apply(ctx):
-    """The map (r, X) -> P_r @ X on dim x dim int64 matrices.
+    """The map (r, X, peak) -> P_r @ X on int64 matrices of dim rows.
 
     Column j of P_r is quantum_pieri_product(r, basis[j]); row t of
     P_r @ X is the sum of the rows j of X whose Pieri row holds t, so
-    the integer sums are those of quantum_pieri_product.  Raises
-    OverflowError where a result could wrap around.
+    the integer sums are those of quantum_pieri_product.  Each column
+    of X is mapped on its own, so X may be any block of columns.  peak
+    is the largest magnitude in X, which the caller already holds;
+    raises OverflowError where a result could wrap around.
     """
     import numpy as np
     dim = ctx.dim
@@ -651,9 +662,9 @@ def _pieri_apply(ctx):
         fan_in = int(np.diff(np.r_[starts, len(tgt)]).max())
         ops[r] = (src, tgt[starts], starts, fan_in)
 
-    def apply(r, x):
+    def apply(r, x, peak):
         src, hit, starts, fan_in = ops[r]
-        if fan_in * int(np.abs(x).max()) >= _INT64_BOUND:
+        if fan_in * peak >= _INT64_BOUND:
             raise OverflowError("Pieri product exceeds the int64 range")
         out = np.zeros_like(x)
         out[hit] = np.add.reduceat(x[src], starts, axis=0)
@@ -662,21 +673,37 @@ def _pieri_apply(ctx):
     return apply
 
 
-def _giambelli_matrices(ctx):
-    """Yield (rank, G) for every diagram, in basis order.
+# columns of the identity passed through the Giambelli prefix trie at
+# once; L live prefixes then hold at most L * dim * 64 * 8 bytes.  At
+# G(6,12), building the table and running the suite peaked at 244 MB in
+# 31.6 s with 64 columns and at 374 MB in 49.7 s with 256 (one run
+# each); at G(4,9) the suite takes about as long as with whole columns
+_GIAMBELLI_BLOCK = 64
 
-    Column j of the int64 matrix G is _product_via_giambelli(ctx, rank,
-    j): the diagram's determinant expanded once for all columns.  The
-    matrix P_{r_m} ... P_{r_1} of each row monomial is memoized and
+
+def _giambelli_matrices(ctx):
+    """Yield (lo, rank, G, live) for every block and diagram.
+
+    G is the block of columns lo:lo + w of the diagram's Giambelli
+    matrix, whose column j is _product_via_giambelli(ctx, rank, j): the
+    determinant expanded once for all the block's columns.  The blocks
+    are the columns of the identity in runs of w = _GIAMBELLI_BLOCK, the
+    last one shorter where w does not divide dim, and within a block
+    the diagrams come in basis order.  live is the number of prefix
+    matrices held once G is summed.
+
+    The matrix P_{r_m} ... P_{r_1} of each row monomial is memoized and
     built from its prefix's, rows applied first row first as in
     _product_via_giambelli, so no step assumes that the Pieri matrices
     commute.  A first pass replays the memo lookups on the row tuples
     alone and records the last rank that reads each prefix, as its own
-    monomial or as the prefix a missing one is built from; the matrix
-    pass drops each prefix once that rank's G is summed.  Every lookup
-    then finds what it would find with nothing dropped, so each pass
-    makes the same dim - 1 Pieri applies in the same order, and only
-    the prefixes still to be read stay alive.
+    monomial or as the prefix a missing one is built from; each block's
+    matrix pass drops each prefix once that rank's G is summed.  Every
+    lookup then finds what it would find with nothing dropped, so each
+    block makes the same dim - 1 Pieri applies in the same order, and
+    only the prefixes still to be read stay alive: L of them hold at
+    most L * dim * w * 8 bytes.  The expansions, the replay and the
+    Pieri operators are computed once for all blocks.
     """
     import numpy as np
     apply = _pieri_apply(ctx)
@@ -694,35 +721,45 @@ def _giambelli_matrices(ctx):
     expired = [[] for _ in expansions]
     for prefix, rank in last.items():
         expired[rank].append(prefix)
-    memo = {(): (np.eye(ctx.dim, dtype=np.int64), 1)}
 
     # not recursive: a closure that calls itself is a reference cycle,
-    # which would keep the memo alive until the cyclic collector runs
-    def monomial(rows):
+    # which would keep a block's memo alive until the cyclic collector
+    # runs
+    def monomial(memo, rows):
         short = len(rows)
         while rows[:short] not in memo:
             short -= 1
         for end in range(short + 1, len(rows) + 1):
-            mat = apply(rows[end - 1], memo[rows[:end - 1]][0])
+            mat = apply(rows[end - 1], *memo[rows[:end - 1]])
             memo[rows[:end]] = (mat, int(np.abs(mat).max()))
         return memo[rows]
 
-    def expand(lam, expansion):
-        terms = [(coeff, monomial(rows)) for coeff, rows in expansion]
+    def expand(memo, width, lam, expansion):
+        terms = [(coeff, monomial(memo, rows)) for coeff, rows in expansion]
         if sum(abs(c) * peak for c, (_, peak) in terms) >= _INT64_BOUND:
             raise OverflowError(f"Giambelli matrix of {lam} exceeds the "
                                 "int64 range")
-        g = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
+        g = np.zeros((ctx.dim, width), dtype=np.int64)
         for coeff, (mat, _) in terms:
-            g += coeff * mat
+            if coeff == 1:
+                g += mat
+            elif coeff == -1:
+                g -= mat
+            else:
+                g += coeff * mat
         return g
 
-    for rank, (lam, expansion) in enumerate(zip(ctx.basis, expansions)):
-        # the helper's frame holds the terms, so they are gone on return
-        g = expand(lam, expansion)
-        for prefix in expired[rank]:
-            del memo[prefix]
-        yield rank, g
+    for lo in range(0, ctx.dim, _GIAMBELLI_BLOCK):
+        width = min(_GIAMBELLI_BLOCK, ctx.dim - lo)
+        memo = {(): (np.eye(ctx.dim, width, -lo, dtype=np.int64), 1)}
+        for rank, (lam, expansion) in enumerate(zip(ctx.basis, expansions)):
+            # the helper's frame holds the terms, so they are gone on
+            # return
+            g = expand(memo, width, lam, expansion)
+            live = len(memo)
+            for prefix in expired[rank]:
+                del memo[prefix]
+            yield lo, rank, g, live
 
 
 def verify_commutativity(ctx, table):
@@ -730,20 +767,25 @@ def verify_commutativity(ctx, table):
 
     The two orientations expand different factors through the
     determinant, so they exercise genuinely different code paths.  Each
-    diagram's expansion runs once over all columns (_giambelli_matrices)
-    and must equal the diagram's multiplication matrix in the table.
-    The table stores both orders of every pair, and each order is held
-    to the expansion of its first factor.  Only pairs that disagree are
+    diagram's expansion runs once per block of columns
+    (_giambelli_matrices), and each block must equal the same columns
+    of the diagram's multiplication matrix in the table.  The table
+    stores both orders of every pair, and each order is held to the
+    expansion of its first factor.  Only pairs that disagree are
     recomputed per pair, to write their failure records: one for two
     orientations that differ, one for each order whose stored product
-    differs from its expansion.
+    differs from its expansion.  The report's stats give the blocks and
+    the most prefix matrices held at once.
     """
     import numpy as np
     suspects = set()
-    for ra, g in _giambelli_matrices(ctx):
-        diff = (g != table.basis_matrix(ra)).any(axis=0)
+    peak = 0
+    for lo, ra, g, live in _giambelli_matrices(ctx):
+        hi = lo + g.shape[1]
+        diff = (g != table.basis_columns(ra, lo, hi)).any(axis=0)
         suspects.update((min(ra, rb), max(ra, rb))
-                        for rb in np.flatnonzero(diff).tolist())
+                        for rb in (lo + np.flatnonzero(diff)).tolist())
+        peak = max(peak, live)
 
     def names(*ranks):
         return [list(trim(ctx.basis[r])) for r in ranks]
@@ -764,8 +806,13 @@ def verify_commutativity(ctx, table):
                                  "giambelli": terms_json(
                                      CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
+    width = min(_GIAMBELLI_BLOCK, ctx.dim)
+    blocks = -(-ctx.dim // width)
+    held = peak * ctx.dim * width * 8 / 2 ** 20
+    stats = [f"commutativity blocks {blocks} x {width} columns, peak "
+             f"{peak} live prefixes ({held:.1f} MB)"]
     return VerifyReport("commutativity", ctx.k, ctx.n,
-                        ctx.dim * (ctx.dim + 1) // 2, failures)
+                        ctx.dim * (ctx.dim + 1) // 2, failures, stats=stats)
 
 
 def _seeded_triples(ctx, samples, seed):
@@ -776,32 +823,45 @@ def _seeded_triples(ctx, samples, seed):
                      for _ in range(samples)], dtype=np.int64).reshape(-1, 3)
 
 
+# seeded triples run through the table at once; each chunk sums both
+# sides into one _TRIPLE_CHUNK x dim int64 array, 8 * 250 * dim bytes
+_TRIPLE_CHUNK = 250
+
+
 def verify_associativity(ctx, table, samples=1000, seed=DEFAULT_SEED):
     """(A*B)*C = (B*C)*A on seeded basis triples, exactly over Z.
 
     With commutativity, checked on its own, this is associativity.
-    Every triple runs at once on the table's arrays: each side is two
-    rounds of StructureTable.pair_products, summed per triple into a
-    dense samples x dim integer array.  Triples whose sides differ are
+    The triples run in chunks of _TRIPLE_CHUNK on the table's arrays:
+    each side is two rounds of StructureTable.pair_products, and the
+    left side is added and the right side subtracted, per triple, into
+    one dense chunk x dim integer array, which is nonzero exactly in
+    the rows of triples whose sides differ.  Those triples are
     recomputed as classes, to write their failure records: lhs is
     (A*B)*C and rhs is (B*C)*A, each product in the order compared.
     """
     import numpy as np
     triples = _seeded_triples(ctx, samples, seed)
-    ones = np.ones(samples, dtype=np.int64)
+    dim = ctx.dim
 
     def side(x, y, z):
-        """(basis[x] * basis[y]) * basis[z], one row per triple."""
+        """Flat chunk x dim positions and values of (x * y) * z."""
+        ones = np.ones(len(x), dtype=np.int64)
         row, t, c = table.pair_products(x, y, ones)
         row2, t2, c2 = table.pair_products(t, z[row], c)
-        if int(np.abs(c2).max(initial=0)) * len(c2) >= _INT64_BOUND:
+        # both sides share one accumulator, so each gets half the range
+        if int(np.abs(c2).max(initial=0)) * len(c2) >= _INT64_BOUND // 2:
             raise OverflowError("triple product exceeds the int64 range")
-        out = np.zeros((samples, ctx.dim), dtype=np.int64)
-        np.add.at(out, (row[row2], t2), c2)
-        return out
+        return row[row2] * dim + t2, c2
 
-    ra, rb, rc = triples.T
-    bad = (side(ra, rb, rc) != side(rb, rc, ra)).any(axis=1)
+    bad = np.zeros(samples, dtype=bool)
+    for lo in range(0, samples, _TRIPLE_CHUNK):
+        ra, rb, rc = triples[lo:lo + _TRIPLE_CHUNK].T
+        (lpos, lval), (rpos, rval) = side(ra, rb, rc), side(rb, rc, ra)
+        acc = np.zeros(len(ra) * dim, dtype=np.int64)
+        np.add.at(acc, np.concatenate([lpos, rpos]),
+                  np.concatenate([lval, -rval]))
+        bad[lo:lo + len(ra)] = acc.reshape(len(ra), dim).any(axis=1)
     failures = []
     for triple in triples[bad].tolist():
         a, b, c = (basis_class(ctx, ctx.basis[r]) for r in triple)

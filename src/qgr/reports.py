@@ -19,6 +19,9 @@ class VerifyReport:
     checked: int
     failures: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+    # lines for verify --stats, about how the suite ran; not part of the
+    # report's JSON or of its equality
+    stats: list = field(default_factory=list, compare=False)
 
     @property
     def ok(self):

@@ -367,6 +367,22 @@ class TestVerifyStats:
         assert lines[-1].endswith(" MB main")
 
 
+    def test_commutativity_blocks_and_cache_entries(self, capsys):
+        plain = run(capsys, "verify", "--k", "4", "--n", "9", "--suite",
+                    "ring")
+        code, out, err = run(capsys, "verify", "--k", "4", "--n", "9",
+                             "--suite", "ring", "--stats")
+        assert code == plain[0] == 0 and out == plain[1]
+        lines = err.splitlines()
+        # dim 126: a block of 64 columns and one of 62
+        assert ("stats: commutativity blocks 2 x 64 columns, peak 18 live "
+                "prefixes (1.1 MB)") in lines
+        ring = len(cli.quantum._RING_CACHE[(4, 9)])
+        cup = len(cli.classical._CUP_CACHE[(4, 9)])
+        assert ring and cup == 126
+        assert lines[-2] == f"stats: cache entries ring {ring} cup {cup} main"
+
+
 def test_cli_imports_no_multiprocessing():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import sys, qgr.cli; "

@@ -136,19 +136,35 @@ class TestGiambelli:
         for k, n in all_contexts(6):
             assert verify_giambelli(ctx_of(k, n)).ok
 
-    def test_batched_expansion_matches_per_pair(self, ctx_of):
+    def test_batched_expansion_matches_per_pair(self, ctx_of, monkeypatch):
+        # (4, 8) has dim 70: a block of 64 columns and one of 6
         for k, n in all_contexts(7) + [(4, 8)]:
             ctx = ctx_of(k, n)
-            seen = 0
-            for ra, g in _giambelli_matrices(ctx):
-                assert ra == seen
-                seen += 1
+            full = _giambelli_columns(ctx)
+            for ra in range(ctx.dim):
                 for rb in range(ctx.dim):
-                    column = {t: int(g[t, rb]) for t in np.flatnonzero(
-                        g[:, rb]).tolist()}
+                    column = {t: int(full[ra][t, rb]) for t in np.flatnonzero(
+                        full[ra][:, rb]).tolist()}
                     assert column == _product_via_giambelli(ctx, ra, rb), \
                         (k, n, ra, rb)
-            assert seen == ctx.dim
+            # narrower blocks, the last one partial where 4 does not
+            # divide dim, reassemble to the same matrices
+            with monkeypatch.context() as patch:
+                patch.setattr(quantum, "_GIAMBELLI_BLOCK", 4)
+                assert np.array_equal(_giambelli_columns(ctx), full), (k, n)
+
+
+def _giambelli_columns(ctx):
+    """Every diagram's Giambelli matrix, reassembled from its blocks."""
+    width = quantum._GIAMBELLI_BLOCK
+    blocks = list(_giambelli_matrices(ctx))
+    # block by block, the diagrams in basis order within each
+    assert [(lo, ra) for lo, ra, _, _ in blocks] == \
+        [(lo, ra) for lo in range(0, ctx.dim, width) for ra in range(ctx.dim)]
+    assert all(g.shape == (ctx.dim, min(width, ctx.dim - lo))
+               for lo, _, g, _ in blocks)
+    return np.stack([np.hstack([g for _, r, g, _ in blocks if r == ra])
+                     for ra in range(ctx.dim)])
 
 
 class TestQuantumProduct:
@@ -350,12 +366,33 @@ class TestCommutativityFailureRecords:
         assert firsts == orbit
 
 
+    def test_corrupted_entry_in_the_last_partial_block(self, ctx_of,
+                                                        table_of):
+        # dim 126 at G(4,9): column blocks 0:64 and 64:126
+        ctx, table = ctx_of(4, 9), table_of(4, 9)
+        assert ctx.dim % quantum._GIAMBELLI_BLOCK
+        a, b = ctx.rank((2, 1, 0, 0, 0)), ctx.rank((3, 3, 1, 0, 0))
+        last, first = ctx.dim - 1, ctx.dim // quantum._GIAMBELLI_BLOCK \
+            * quantum._GIAMBELLI_BLOCK
+        target = dict(table.product_ranks(a, last))
+        bad = with_terms(table, {(a, last, min(target)): 1,
+                                 (b, first, 0): 1})
+        report = verify_commutativity(ctx, table=bad)
+        assert report.failures == _commutativity_reference(ctx, bad)
+        pairs = {tuple(map(tuple, f["pair"])) for f in report.failures
+                 if "table" in f}
+        assert pairs == {(tuple(trim(ctx.basis[a])),
+                          tuple(trim(ctx.basis[last]))),
+                         (tuple(trim(ctx.basis[b])),
+                          tuple(trim(ctx.basis[first])))}
+
+
 class TestCommutativityMemory:
     def test_giambelli_memo_released_when_the_suite_returns(self, ctx_of,
                                                              table_of):
         ctx, table = ctx_of(4, 8), table_of(4, 8)
         verify_commutativity(ctx, table=table)   # fill the lasting caches
-        matrix_bytes = 8 * ctx.dim ** 2
+        block_bytes = 8 * ctx.dim * quantum._GIAMBELLI_BLOCK
         gc.disable()
         tracemalloc.start()
         try:
@@ -366,18 +403,23 @@ class TestCommutativityMemory:
             tracemalloc.stop()
             gc.enable()
         assert report.ok
-        # the memo holds a dim x dim int64 matrix for each prefix still
-        # to be read, and none may outlive the suite without the cyclic
+        # the memo holds a dim x 64 int64 block for each prefix still to
+        # be read, and none may outlive the suite without the cyclic
         # collector
-        assert peak - before > 10 * matrix_bytes
-        assert after - before < matrix_bytes
+        assert peak - before > 10 * block_bytes
+        assert after - before < block_bytes
 
     def test_peak_bounded_by_live_prefixes(self, ctx_of, table_of):
-        # at most 2 and 18 prefixes are live at once here; a memo that
-        # kept all 59 and 125 until the suite returned peaked at about 64
-        # and 130 matrices
-        for (k, n), bound in [((1, 60), 8), ((4, 9), 30)]:
+        # at most 2, 18 and 30 prefixes are live at once here, each a
+        # block of dim x 64 int64 entries (dim x 60 at G(1,60), one
+        # block), and a Pieri apply adds 4 to 7 blocks of transients.
+        # Whole columns peaked at about 6, 24 and 36 dim x dim matrices,
+        # about 6, 47 and 143 blocks
+        for (k, n), live, bound in [((1, 60), 2, 8), ((4, 9), 18, 26),
+                                    ((5, 10), 30, 40)]:
             ctx, table = ctx_of(k, n), table_of(k, n)
+            block_bytes = 8 * ctx.dim * min(quantum._GIAMBELLI_BLOCK,
+                                            ctx.dim)
             verify_commutativity(ctx, table=table)   # fill the caches
             tracemalloc.start()
             try:
@@ -387,7 +429,8 @@ class TestCommutativityMemory:
             finally:
                 tracemalloc.stop()
             assert report.ok
-            assert peak - before < bound * 8 * ctx.dim ** 2, (k, n)
+            assert f"peak {live} live prefixes" in report.stats[0]
+            assert peak - before < bound * block_bytes, (k, n)
 
     def test_one_apply_per_prefix(self, ctx_of, monkeypatch):
         pieri_apply = quantum._pieri_apply
@@ -396,17 +439,31 @@ class TestCommutativityMemory:
         def counted(ctx):
             apply = pieri_apply(ctx)
 
-            def count(r, x):
-                calls.append(r)
-                return apply(r, x)
+            def count(r, x, peak):
+                # the peak passed in is the block's own
+                assert peak == int(np.abs(x).max())
+                calls.append((r, x.shape[1]))
+                return apply(r, x, peak)
             return count
 
         monkeypatch.setattr(quantum, "_pieri_apply", counted)
-        for k, n in all_contexts(7) + [(4, 9), (1, 30)]:
-            ctx = ctx_of(k, n)
-            calls.clear()
-            assert sum(1 for _ in _giambelli_matrices(ctx)) == ctx.dim
-            assert len(calls) == ctx.dim - 1, (k, n)
+        # (4, 9) has dim 126: a block of 64 columns and one of 62
+        for width in [quantum._GIAMBELLI_BLOCK, 4]:
+            monkeypatch.setattr(quantum, "_GIAMBELLI_BLOCK", width)
+            for k, n in all_contexts(7) + [(4, 9), (1, 30)]:
+                ctx = ctx_of(k, n)
+                calls.clear()
+                starts = [lo for lo, *_ in _giambelli_matrices(ctx)]
+                los = list(range(0, ctx.dim, width))
+                assert starts == [lo for lo in los for _ in range(ctx.dim)]
+                # dim - 1 applies per block, the same rows in each
+                assert len(calls) == len(los) * (ctx.dim - 1), (k, n)
+                rows = [r for r, _ in calls]
+                first = rows[:ctx.dim - 1]
+                assert rows == first * len(los), (k, n, width)
+                widths = [w for _, w in calls]
+                assert widths == [min(width, ctx.dim - lo) for lo in los
+                                  for _ in first], (k, n, width)
 
 
 def _grading_reference(ctx, table):
@@ -515,6 +572,22 @@ class TestAssociativityFailureRecords:
             expected = _associativity_reference(ctx, bad, 1000, k * n)
             assert expected and report.failures == expected, (k, n)
             assert report.checked == 1000
+
+    def test_bad_triples_at_chunk_boundaries(self, ctx_of, table_of):
+        # 600 triples: chunks 0:250, 250:500 and the partial 500:600
+        ctx, table = ctx_of(3, 7), table_of(3, 7)
+        chunk = quantum._TRIPLE_CHUNK
+        triples = quantum._seeded_triples(ctx, 600, DEFAULT_SEED).tolist()
+        edges = [chunk - 1, chunk, 599]
+        # one order of the first pair of each: only (A*B)*C reads it
+        bad = with_terms(table, {(triples[i][0], triples[i][1], 0): 1
+                                 for i in edges})
+        report = verify_associativity(ctx, samples=600, table=bad)
+        assert report.failures == _associativity_reference(ctx, bad, 600,
+                                                           DEFAULT_SEED)
+        failed = [f["triple"] for f in report.failures]
+        for i in edges:
+            assert [list(trim(ctx.basis[r])) for r in triples[i]] in failed
 
     def test_records_show_the_compared_sides(self, ctx_of, table_of):
         # one order of one pair changes, so the table is not commutative
