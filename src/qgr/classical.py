@@ -300,6 +300,15 @@ _CUP_CACHE = {}
 
 
 def _cup_rows(ctx, ra):
+    """_lr_rows(ctx, ra), memoized in _CUP_CACHE for cup_product."""
+    cache = _CUP_CACHE.setdefault((ctx.k, ctx.n), {})
+    hit = cache.get(ra)
+    if hit is None:
+        hit = cache[ra] = _lr_rows(ctx, ra)
+    return hit
+
+
+def _lr_rows(ctx, ra):
     """Cup products of basis[ra] with the diagrams of rank ra and above.
 
     The products with lower ranks are the rows of those ranks, as the
@@ -308,12 +317,10 @@ def _cup_rows(ctx, ra):
     Littlewood-Richardson fillings enumerated once; a filling of content
     mu adds 1 to the coefficient of nu in lam * mu.  Returns a dict from
     the rank of mu to the product's (rank, coefficient) pairs, sorted by
-    rank; products that vanish in the box are absent.
+    rank; products that vanish in the box are absent.  Not memoized: a
+    caller that reads each row once, as verify_grading does, keeps
+    nothing.
     """
-    cache = _CUP_CACHE.setdefault((ctx.k, ctx.n), {})
-    hit = cache.get(ra)
-    if hit is not None:
-        return hit
     lam = ctx.basis[ra]
     pad = (0,) * ctx.l
     rows = {}
@@ -327,8 +334,7 @@ def _cup_rows(ctx, ra):
                 rank = ctx.rank((mu + pad)[:ctx.l])
                 if rank >= ra:
                     rows.setdefault(rank, []).append((nr, c))
-    hit = cache[ra] = {mu: tuple(items) for mu, items in rows.items()}
-    return hit
+    return {mu: tuple(items) for mu, items in rows.items()}
 
 
 def _cup_basis(ctx, ra, rb):

@@ -24,21 +24,25 @@ reads them.
 
 On a POSIX host with more CPUs than numpy's BLAS pool has threads
 (one per CPU unless OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or
-OMP_NUM_THREADS sets fewer), verify --suite all runs the spectrum
-suites in one forked worker while this process runs the ring and
-involution suites; the output is the same byte for byte, and the
-memory is held by two processes, each with its own peak.  The worker
-only saves time: where it cannot be forked or gives no result, this
-process runs the spectrum suites after the others, so an error in
-them surfaces here with this process's traceback.  Every other suite
-choice, and every other host, runs them in this process through the
-same function.  It is a process because the ring suites hold the GIL:
-on 2 CPUs with BLAS on one thread, a thread in its place took a median
-507 ms against the fork's 324 ms for verify --suite all at G(4,9).  It
-needs a spare CPU because its BLAS pool would contend with this
-process: forked with default BLAS threads there, the run took a median
-493 ms against 389 ms in one process at G(4,9), and 2272 against
-2320 ms at G(5,10).
+OMP_NUM_THREADS sets fewer), verify --suite all runs the involution
+and spectrum suites in one forked worker while this process runs the
+ring suites; the output is the same byte for byte, and the memory is
+held by two processes, each with its own peak.  The split follows the
+time, as the run ends when the slower process does: with BLAS on one
+thread at G(4,9), --stats put a median 0.20 s in the ring suites and
+0.25 s in the worker's, against 0.26 and 0.25 s when the involution
+suites ran here.  The worker only saves time: where it cannot be
+forked or gives no result, this process runs the involution and
+spectrum suites after the ring suites, so an error in them surfaces
+here with this process's traceback.  Every other suite choice, and
+every other host, runs them in this process through the same
+functions.  It is a process because the ring suites hold the GIL: on
+2 CPUs with BLAS on one thread, a thread in its place took a median
+507 ms against the fork's 324 ms for verify --suite all at G(4,9).
+It needs a spare CPU because its BLAS pool would contend with this
+process: forked with default BLAS threads there, the run took a
+median 493 ms against 389 ms in one process at G(4,9), and 2272
+against 2320 ms at G(5,10).
 verify --stats writes each suite's seconds and the process that ran
 it, the table's term count, the column blocks of the commutativity
 oracle and its most prefix matrices held at once, the entries of each
@@ -143,38 +147,44 @@ def _timed(log, where, fn, *args, **kwargs):
     return out
 
 
-def _ring_suites(ctx, which, seed, table, log):
-    """The ring and involution suites that `which` selects, in order."""
-    def run(fn, **kwargs):
-        report = _timed(log, "main", fn, ctx, **kwargs)
+def _suite_runner(ctx, log, where):
+    """A caller of suites on ctx that logs each one's time, its process
+    and its stats lines."""
+    def run(fn, *args, **kwargs):
+        report = _timed(log, where, fn, ctx, *args, **kwargs)
         log.extend(report.stats)
         return report
+    return run
 
-    reports = []
-    if which in ("ring", "all"):
-        reports += [run(quantum.verify_commutativity, table=table),
-                    run(quantum.verify_associativity, seed=seed, table=table),
-                    run(quantum.verify_grading, table=table),
-                    run(quantum.verify_pieri_consistency),
-                    run(quantum.verify_giambelli),
-                    run(quantum.verify_cyclic, table=table)]
-    if which in ("involution", "all"):
-        reports += [run(involution.verify_involution_factorization),
-                    run(involution.verify_product_automorphism, table=table),
-                    run(involution.verify_duality_identities, table=table),
-                    run(involution.verify_dual_product_identity, seed=seed,
-                        table=table)]
-    return reports
+
+def _ring_suites(ctx, seed, table, log, where):
+    """The ring suites, in order."""
+    run = _suite_runner(ctx, log, where)
+    return [run(quantum.verify_commutativity, table=table),
+            run(quantum.verify_associativity, seed=seed, table=table),
+            run(quantum.verify_grading, table=table),
+            run(quantum.verify_pieri_consistency),
+            run(quantum.verify_giambelli),
+            run(quantum.verify_cyclic, table=table)]
+
+
+def _involution_suites(ctx, seed, table, log, where):
+    """The involution suites, in order."""
+    run = _suite_runner(ctx, log, where)
+    return [run(involution.verify_involution_factorization),
+            run(involution.verify_product_automorphism, table=table),
+            run(involution.verify_duality_identities, table=table),
+            run(involution.verify_dual_product_identity, seed=seed,
+                table=table)]
 
 
 def _spectrum_suites(ctx, tol, seed, table, log, where):
     """The spectrum suites, in order; they read nothing else of verify."""
-    def run(fn, *args, **kwargs):
-        return _timed(log, where, fn, ctx, *args, **kwargs)
-
-    spec = run(spectrum.joint_eigenbasis)
+    run = _suite_runner(ctx, log, where)
+    spec = _timed(log, where, spectrum.joint_eigenbasis, ctx)
     classes = ([basis_class(ctx, lam) for lam in ctx.basis]
-               + run(spectrum.random_integer_classes, 100, seed=seed))
+               + _timed(log, where, spectrum.random_integer_classes, ctx,
+                        100, seed=seed))
     return [run(spectrum.verify_conjugation, spectral=spec),
             run(spectrum.verify_point_conjugation, spectral=spec),
             run(spectrum.verify_positivity, classes, tol=tol, spectral=spec,
@@ -274,36 +284,43 @@ def _beside_worker(main_part, worker_part, log):
 def _run_suites(ctx, which, tol, seed, log):
     """Reports of the suites `which` selects, in the documented order.
 
-    For --suite all on a host with a spare CPU, the spectrum suites run
-    in one forked worker while this process runs the ring and involution
-    suites; both read the one structure table built here.  Where the
-    worker gives no result, this process runs them after the others.
-    log collects the lines that --stats writes.
+    For --suite all on a host with a spare CPU, the involution and
+    spectrum suites run in one forked worker while this process runs
+    the ring suites; both read the one structure table built here.
+    Where the worker gives no result, this process runs them after the
+    ring suites.  log collects the lines that --stats writes.
     """
     table = _timed(log, "main", quantum.build_table, ctx)
     log.append(f"table terms {len(table.coeff)}")
 
     def ring_part():
-        return _ring_suites(ctx, which, seed, table, log)
+        if which in ("ring", "all"):
+            return _ring_suites(ctx, seed, table, log, "main")
+        return []
 
-    def worker_part():
+    def worker_part(log, where):
+        reports = []
+        if which in ("involution", "all"):
+            reports += _involution_suites(ctx, seed, table, log, where)
+        if which in ("spectrum", "all"):
+            reports += _spectrum_suites(ctx, tol, seed, table, log, where)
+        return reports
+
+    def in_worker():
         worker_log = []
-        reports = _spectrum_suites(ctx, tol, seed, table, worker_log,
-                                   "worker")
+        reports = worker_part(worker_log, "worker")
         return reports, worker_log + [_cache_use(ctx, "worker"),
                                       _peak_rss("worker")]
 
     if which == "all" and _spare_cpu():
-        reports, there = _beside_worker(ring_part, worker_part, log)
+        reports, there = _beside_worker(ring_part, in_worker, log)
     else:
         reports, there = ring_part(), None
-    if there is not None:
-        spec_reports, worker_log = there
-        log.extend(worker_log)
-        return reports + spec_reports
-    if which in ("spectrum", "all"):
-        reports += _spectrum_suites(ctx, tol, seed, table, log, "main")
-    return reports
+    if there is None:
+        return reports + worker_part(log, "main")
+    worker_reports, worker_log = there
+    log.extend(worker_log)
+    return reports + worker_reports
 
 
 def _check_tol(args):

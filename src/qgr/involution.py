@@ -46,27 +46,26 @@ def verify_involution_factorization(ctx):
 def verify_product_automorphism(ctx, table):
     """Check bar(S_lam * S_mu) = bar(S_lam) * bar(S_mu) over basis pairs.
 
-    Runs every unordered pair (diagonal included), one diagram at a
-    time, as the matrix identity M_lam = M_{bar lam}[bar, bar] on the
-    columns mu >= lam, with M the table's multiplication matrices and
-    bar the rank permutation.  Pairs whose columns differ are
-    recomputed as classes, to write their failure records.
+    Runs every unordered pair (diagonal included) as one relabel of the
+    table (StructureTable.relabel_mismatches), each ordered pair
+    (lam, mu) against (bar lam, bar mu) with targets relabeled by bar,
+    and reads the pairs mu >= lam; the image pair may lie below the
+    diagonal.  Pairs that differ are recomputed as classes, to write
+    their failure records.
     """
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
+    rows, cols = table.relabel_mismatches(bar_rank, bar_rank, bar_rank)
+    upper = cols >= rows
     failures = []
-    for ra in range(ctx.dim):
-        lhs = table.basis_matrix(ra)[:, ra:]
-        rhs = table.basis_matrix(bar_rank[ra])[np.ix_(bar_rank,
-                                                      bar_rank[ra:])]
-        for rb in (ra + np.flatnonzero((lhs != rhs).any(axis=0))).tolist():
-            a = basis_class(ctx, ctx.basis[ra])
-            c = basis_class(ctx, ctx.basis[rb])
-            failures.append({"pair": [list(trim(ctx.basis[ra])),
-                                      list(trim(ctx.basis[rb]))],
-                             "lhs": terms_json(bar(quantum_product(
-                                 a, c, table=table))),
-                             "rhs": terms_json(quantum_product(
-                                 bar(a), bar(c), table=table))})
+    for ra, rb in zip(rows[upper].tolist(), cols[upper].tolist()):
+        a = basis_class(ctx, ctx.basis[ra])
+        c = basis_class(ctx, ctx.basis[rb])
+        failures.append({"pair": [list(trim(ctx.basis[ra])),
+                                  list(trim(ctx.basis[rb]))],
+                         "lhs": terms_json(bar(quantum_product(
+                             a, c, table=table))),
+                         "rhs": terms_json(quantum_product(
+                             bar(a), bar(c), table=table))})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("product_automorphism", ctx.k, ctx.n,
                         ctx.dim * (ctx.dim + 1) // 2, failures)
@@ -78,11 +77,11 @@ def verify_duality_identities(ctx, table):
     First, dual(shift^k A) = shift^(n-k)(dual A) on every basis
     diagram.  Second, for all basis pairs (A, S) and rows 1 <= r <= k,
     the row-rule invariant <A, S, (r)> equals the product-computed
-    invariant <dual A, dual S, bar (r)>.  The latter is the entry
-    M_{dual A}[dual bar (r), dual S] of the table's multiplication
-    matrix, read for all S and r at once per diagram A.  The former is
-    read off the whole Pieri matrix of (r): it is 1 exactly where dual S
-    lies in the Pieri row of A.
+    invariant <dual A, dual S, bar (r)>.  The latter is the coefficient
+    of dual bar (r) in dual A * dual S, read for all S and r at once per
+    diagram A off the table's slice of dual A.  The former is read off
+    the Pieri matrices of the rows: it is 1 exactly where dual S lies in
+    the Pieri row of A.
     """
     failures = []
     checked = 0
@@ -94,20 +93,29 @@ def verify_duality_identities(ctx, table):
             failures.append({"identity": "dual_shift_commutation",
                              "lam": list(trim(lam)),
                              "lhs": list(trim(lhs)), "rhs": list(trim(rhs))})
+    dim = ctx.dim
     dual_rank = rank_map(ctx, partial(poincare_dual, k=ctx.k))
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
+    undual = np.empty_like(dual_rank)
+    undual[dual_rank] = np.arange(dim)
     rows = range(1, ctx.k + 1)
-    # pairing with bar (r) reads the coefficient of dual(bar (r))
-    targets = dual_rank[bar_rank[[ctx.rank((r,) + (0,) * (ctx.l - 1))
-                                  for r in rows]]]
-    invariant = np.zeros((ctx.k, ctx.dim, ctx.dim), dtype=np.int8)
-    for i, r in enumerate(rows):
-        ptr, tgt = _pieri_matrix(ctx, r)
-        invariant[i, np.repeat(np.arange(ctx.dim), np.diff(ptr)),
-                  dual_rank[tgt]] = 1
+    pieri = [_pieri_matrix(ctx, r) for r in rows]
+    # pairing with bar (r) reads the coefficient of dual(bar (r)): the
+    # target of index i, for the row r = i + 1
+    index_of = np.full(dim, -1)
+    index_of[dual_rank[bar_rank[[ctx.rank((r,) + (0,) * (ctx.l - 1))
+                                 for r in rows]]]] = np.arange(ctx.k)
     for ra, a in enumerate(ctx.basis):
-        lhs = invariant[:, ra]
-        rhs = table.basis_matrix(dual_rank[ra])[np.ix_(targets, dual_rank)]
+        lhs = np.zeros((ctx.k, dim), dtype=np.int64)
+        for i, (ptr, tgt) in enumerate(pieri):
+            lhs[i, undual[tgt[ptr[ra]:ptr[ra + 1]]]] = 1
+        seg = slice(table.ptr[dual_rank[ra] * dim],
+                    table.ptr[dual_rank[ra] * dim + dim])
+        col, target = np.divmod(table.key[seg], dim)
+        index = index_of[target]
+        read = index >= 0
+        rhs = np.zeros_like(lhs)
+        rhs[index[read], undual[col[read]]] = table.coeff[seg][read]
         checked += lhs.size
         for i, rs in zip(*np.nonzero(lhs != rhs)):
             r, s = rows[i], ctx.basis[rs]
@@ -125,16 +133,15 @@ def verify_duality_identities(ctx, table):
 def verify_dual_product_identity(ctx, table, samples=1000, seed=DEFAULT_SEED):
     """Check dual(A*C) = dual(A) * bar(C) and the matching invariants.
 
-    The first identity runs over all ordered basis pairs, one diagram A
-    at a time, as the matrix identity M_A = M_{dual A}[dual, bar] with
-    M the table's multiplication matrices and dual, bar the rank
-    permutations; pairs whose columns differ are recomputed as classes,
-    to write their failure records.  The second,
-    <A,C,B> = <dual A, dual C, bar B>, runs over seeded basis triples,
-    all at once: the coefficient of dual B in A * C against that of
-    dual bar B in dual A * dual C, read off StructureTable.pair_products.
-    Triples that differ are recomputed as classes, to write their
-    failure records.
+    The first identity runs over all ordered basis pairs as one relabel
+    of the table (StructureTable.relabel_mismatches): each product
+    A * C against dual A * bar C, targets relabeled by dual.  Pairs that
+    differ are recomputed as classes, to write their failure records.
+    The second, <A,C,B> = <dual A, dual C, bar B>, runs over seeded
+    basis triples, all at once: the coefficient of dual B in A * C
+    against that of dual bar B in dual A * dual C, read off
+    StructureTable.pair_products.  Triples that differ are recomputed as
+    classes, to write their failure records.
     """
     def dual(lam):
         return poincare_dual(lam, ctx.k)
@@ -142,21 +149,19 @@ def verify_dual_product_identity(ctx, table, samples=1000, seed=DEFAULT_SEED):
     dual_rank = rank_map(ctx, dual)
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
     failures = []
-    checked = 0
-    for ra in range(ctx.dim):
-        checked += ctx.dim
-        lhs = table.basis_matrix(ra)
-        rhs = table.basis_matrix(dual_rank[ra])[np.ix_(dual_rank, bar_rank)]
-        for rc in np.flatnonzero((lhs != rhs).any(axis=0)).tolist():
-            a = basis_class(ctx, ctx.basis[ra])
-            c = basis_class(ctx, ctx.basis[rc])
-            failures.append({"identity": "dual_product",
-                             "a": list(trim(ctx.basis[ra])),
-                             "c": list(trim(ctx.basis[rc])),
-                             "lhs": terms_json(relabel(quantum_product(
-                                 a, c, table=table), dual)),
-                             "rhs": terms_json(quantum_product(
-                                 relabel(a, dual), bar(c), table=table))})
+    checked = ctx.dim ** 2
+    rows, cols = table.relabel_mismatches(dual_rank, bar_rank, dual_rank)
+    for ra, rc in zip(rows.tolist(), cols.tolist()):
+        a = basis_class(ctx, ctx.basis[ra])
+        c = basis_class(ctx, ctx.basis[rc])
+        failures.append({"identity": "dual_product",
+                         "a": list(trim(ctx.basis[ra])),
+                         "c": list(trim(ctx.basis[rc])),
+                         "lhs": terms_json(relabel(quantum_product(
+                             a, c, table=table), dual)),
+                         "rhs": terms_json(quantum_product(
+                             relabel(a, dual), bar(c), table=table))})
+
     def coefficient(x, y, target):
         """Coefficient of basis[target] in basis[x] * basis[y], per entry."""
         row, t, c = table.pair_products(x, y, np.ones_like(x))

@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .classical import (CohomClass, _cup_rows, _same_ctx, basis_class,
+from .classical import (CohomClass, _lr_rows, _same_ctx, basis_class,
                         classical_pieri, column_class, cup_product, pairing,
                         rank_map, relabel, terms_json)
 from .partitions import c_shift, degree, nonzero_rows, poincare_dual, trim
@@ -405,6 +405,38 @@ class StructureTable:
         # one term per (column, target)
         mat[self.key[seg] - lo * dim] = self.coeff[seg]
         return mat.reshape(hi - lo, dim).T
+
+    def relabel_mismatches(self, pr, pj, pt):
+        """Ordered pairs whose product the relabel (pr, pj, pt) changes.
+
+        pr, pj and pt are rank permutations.  Returns int64 arrays
+        (r, j), in rank order, of the pairs where basis[r] * basis[j] is
+        not basis[pr[r]] * basis[pj[j]] with each target t read as
+        pt[t]: a term has no image, a coefficient differs from its
+        image's, or the term counts differ.  Terms are found by
+        searchsorted in the image diagram's slice, already in key
+        order: one diagram's terms at a time, and no sort.
+        """
+        import numpy as np
+        dim, ptr, key, coeff = self.ctx.dim, self.ptr, self.key, self.coeff
+        rows, cols = [], []
+        for r in range(dim):
+            pairs, img_pairs = r * dim, int(pr[r]) * dim
+            seg = slice(ptr[pairs], ptr[pairs + dim])
+            img = slice(ptr[img_pairs], ptr[img_pairs + dim])
+            j, t = np.divmod(key[seg], dim)
+            want = (pj[j] * dim + pt[t]).astype(key.dtype)
+            pos = np.searchsorted(key[img], want)
+            found = pos < img.stop - img.start
+            pos = pos[found] + img.start
+            found[found] = (key[pos] == want[found]) \
+                & (coeff[pos] == coeff[seg][found])
+            bad = np.diff(ptr[pairs:pairs + dim + 1]) \
+                != np.diff(ptr[img_pairs:img_pairs + dim + 1])[pj]
+            bad[j[~found]] = True
+            cols.append(np.flatnonzero(bad))
+            rows.append(np.full(len(cols[-1]), r))
+        return np.concatenate(rows), np.concatenate(cols)
 
     def __eq__(self, other):
         import numpy as np
@@ -887,7 +919,8 @@ def verify_grading(ctx, table):
     multiplication matrix M_lam: a nonzero entry fails where the degree
     gap deg lam + deg mu - deg t is negative or off a multiple of n, and
     the entries of gap 0 must equal the cup matrix of lam, read off the
-    batched Littlewood-Richardson rows (classical._cup_rows).  Pairs
+    batched Littlewood-Richardson rows (classical._lr_rows).  Each row
+    is read once, so none is kept in the cup product's memo.  Pairs
     that fail are recomputed as classes, to write their failure
     records.
     """
@@ -898,7 +931,7 @@ def verify_grading(ctx, table):
         mat = table.basis_matrix(ra)[:, ra:]
         gap = deg[ra] + deg[None, ra:] - deg[:, None]
         cup = np.zeros_like(mat)
-        for rb, items in _cup_rows(ctx, ra).items():
+        for rb, items in _lr_rows(ctx, ra).items():
             for t, c in items:
                 cup[t, rb - ra] = c
         bad = ((mat != 0) & ((gap < 0) | (gap % ctx.n != 0))) \

@@ -68,19 +68,26 @@ def _coeff_vector(c, dtype=np.int64):
     return vec
 
 
+def _check_coefficients(coeffs):
+    for coeff in coeffs:
+        if abs(coeff) >= _ENTRY_BOUND:
+            raise OverflowError(f"coefficient {coeff} too large")
+
+
+def _checked_entries(mat):
+    if np.abs(mat).max(initial=0) >= _ENTRY_BOUND:
+        raise OverflowError("matrix entries exceed the safe integer bound")
+    return mat
+
+
 def mult_matrix(c, table):
     """Integer matrix of quantum multiplication by a class.
 
     Column j holds the coordinates of c * basis[j].  The map is linear
     in c and turns products into matrix products.
     """
-    for coeff in c.terms.values():
-        if abs(coeff) >= _ENTRY_BOUND:
-            raise OverflowError(f"coefficient {coeff} too large")
-    mat = table.matrix(_coeff_vector(c))
-    if np.abs(mat).max(initial=0) >= _ENTRY_BOUND:
-        raise OverflowError("matrix entries exceed the safe integer bound")
-    return mat
+    _check_coefficients(c.terms.values())
+    return _checked_entries(table.matrix(_coeff_vector(c)))
 
 
 @dataclass(frozen=True)
@@ -254,38 +261,6 @@ def _gram_certified(mat, m_c):
     return np.array_equal(mat, f @ f.T)
 
 
-def _positivity_issues(c, bar_rank, spectral, magnitudes, table, tol):
-    m_c = mult_matrix(c, table=table)
-    vec = _coeff_vector(c)
-    v = np.zeros_like(vec)          # the coefficients of bar(C)
-    v[bar_rank] = vec
-    # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
-    if int(np.abs(m_c).max(initial=0)) * int(np.abs(v).sum()) >= 2 ** 63:
-        raise OverflowError("C * bar(C) exceeds the safe integer bound")
-    prod = CohomClass(c.ctx, dict(enumerate((m_c @ v).tolist())))
-    mat = mult_matrix(prod, table=table)
-    issues = []
-    # a Gram matrix is symmetric and semidefinite; the float gates judge
-    # only a matrix that is not certified as one
-    if not _gram_certified(mat, m_c):
-        if not np.array_equal(mat, mat.T):
-            issues.append("matrix not symmetric")
-        else:
-            eig = np.linalg.eigvalsh(mat.astype(np.float64))
-            eigmin = float(eig.min())
-            if not eigmin >= -tol * max(1.0, float(np.abs(eig).max())):
-                issues.append(f"minimum eigenvalue {eigmin:.3e}")
-    values = evaluate(prod, spectral)
-    # the rounding scale of each value's dot product
-    bound = tol * np.maximum(1.0, magnitudes
-                             @ np.abs(_coeff_vector(prod, np.float64)))
-    if not (np.abs(values.imag) <= bound).all():
-        issues.append("values not real")
-    if not (-values.real <= bound).all():
-        issues.append("negative value")
-    return issues
-
-
 def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     """Symmetry and semipositivity of multiplication by C * bar(C).
 
@@ -302,16 +277,64 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     coordinates are M_C applied to the coordinates of bar(C), and its
     matrix is built from them; the Gram identity is checked, never
     assumed, so no step assumes associativity.
+
+    The classes run as one batch, in O(classes * dim) more memory: the
+    coefficients of each class, its image and its product, and the
+    values at the dim points from two matrix products.  Only the exact
+    work runs per class: M_C (a table slice for a basis class), the
+    product, its matrix and the Gram identity.
     """
-    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
-    magnitudes = np.abs(spectral.characters)
-    failures = []
+    vecs = np.zeros((len(classes), ctx.dim), dtype=np.int64)
     for i, c in enumerate(classes):
-        issues = _positivity_issues(c, bar_rank, spectral, magnitudes,
-                                    table, tol)
-        if issues:
+        # a coefficient beyond the bound is refused when its class is
+        # reached, below
+        if c.terms and max(map(abs, c.terms.values())) < _ENTRY_BOUND:
+            vecs[i, list(c.terms)] = list(c.terms.values())
+    bars = np.empty_like(vecs)      # the coefficients of bar(C)
+    bars[:, rank_map(ctx, partial(bar_involution, k=ctx.k))] = vecs
+    prods = np.empty_like(vecs)     # the coefficients of C * bar(C)
+    issues = []
+    for i, c in enumerate(classes):
+        _check_coefficients(c.terms.values())
+        if len(c.terms) == 1 and 1 in c.terms.values():  # a basis class
+            m_c = _checked_entries(table.basis_matrix(*c.terms))
+        else:
+            m_c = _checked_entries(table.matrix(vecs[i]))
+        v = bars[i]
+        # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
+        if int(np.abs(m_c).max(initial=0)) * int(np.abs(v).sum()) >= 2 ** 63:
+            raise OverflowError("C * bar(C) exceeds the safe integer bound")
+        prod = prods[i] = m_c @ v
+        _check_coefficients(prod[np.abs(prod) >= _ENTRY_BOUND].tolist())
+        mat = _checked_entries(table.matrix(prod))
+        found = []
+        # a Gram matrix is symmetric and semidefinite; the float gates
+        # judge only a matrix that is not certified as one
+        if not _gram_certified(mat, m_c):
+            if not np.array_equal(mat, mat.T):
+                found.append("matrix not symmetric")
+            else:
+                eig = np.linalg.eigvalsh(mat.astype(np.float64))
+                eigmin = float(eig.min())
+                if not eigmin >= -tol * max(1.0, float(np.abs(eig).max())):
+                    found.append(f"minimum eigenvalue {eigmin:.3e}")
+        issues.append(found)
+    weights = prods.astype(np.float64)
+    values = weights @ spectral.characters.T
+    # the rounding scale of each value's dot product
+    bound = tol * np.maximum(1.0, np.abs(weights) @ np.abs(
+        spectral.characters).T)
+    not_real = ~(np.abs(values.imag) <= bound).all(axis=1)
+    negative = ~(-values.real <= bound).all(axis=1)
+    failures = []
+    for i, (c, found) in enumerate(zip(classes, issues)):
+        if not_real[i]:
+            found.append("values not real")
+        if negative[i]:
+            found.append("negative value")
+        if found:
             failures.append({"class_index": i, "terms": terms_json(c),
-                             "issues": issues})
+                             "issues": found})
     return VerifyReport("positivity", ctx.k, ctx.n, len(classes), failures)
 
 

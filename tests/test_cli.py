@@ -1,4 +1,5 @@
 import errno
+import functools
 import json
 import os
 import re
@@ -180,6 +181,17 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the spectrum worker is forked")
 
 
+RING_SUITES = ("verify_commutativity", "verify_associativity",
+               "verify_grading", "verify_pieri_consistency",
+               "verify_giambelli", "verify_cyclic")
+INVOLUTION_SUITES = ("verify_involution_factorization",
+                     "verify_product_automorphism",
+                     "verify_duality_identities",
+                     "verify_dual_product_identity")
+SPECTRUM_SUITES = ("verify_conjugation", "verify_point_conjugation",
+                   "verify_positivity", "verify_vanishing")
+
+
 def no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -204,6 +216,44 @@ class TestSpectrumWorker:
         assert re.search(r"^stats: peak RSS [0-9.]+ MB worker$", there[2],
                          re.M)
         assert there[2].splitlines()[-1].endswith(" MB main")
+        no_children_left()
+
+    def test_involution_suites_run_in_the_worker(self, capsys, monkeypatch):
+        code, _, err = self.verify_all(capsys, monkeypatch, 3, 7, True,
+                                       "--stats")
+        assert code == 0
+        for name in INVOLUTION_SUITES + SPECTRUM_SUITES:
+            assert re.search(rf"^stats: {name} [0-9.]+ s worker$", err, re.M)
+        for name in RING_SUITES:
+            assert re.search(rf"^stats: {name} [0-9.]+ s main$", err, re.M)
+        no_children_left()
+
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    def test_failed_involution_suite_reruns_here(self, capsys, monkeypatch,
+                                                 how):
+        test_pid = os.getpid()
+        dual_product = cli.involution.verify_dual_product_identity
+
+        @functools.wraps(dual_product)  # --stats names the suite
+        def failing(ctx, **kwargs):
+            if os.getpid() != test_pid:  # only the worker
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("worker fault")
+            return dual_product(ctx, **kwargs)
+
+        here = self.verify_all(capsys, monkeypatch, 3, 7, False)
+        monkeypatch.setattr(cli.involution, "verify_dual_product_identity",
+                            failing)
+        there = self.verify_all(capsys, monkeypatch, 3, 7, True, "--stats")
+        assert here[0] == there[0] == 0 and here[1] == there[1]
+        status = "signal SIGKILL" if how == "kill" else "exit status 1"
+        assert f"worker gave no result ({status})" in there[2]
+        lines = there[2].splitlines()
+        assert not any(line.endswith(" worker") for line in lines)
+        for name in INVOLUTION_SUITES + SPECTRUM_SUITES:
+            assert re.search(rf"^stats: {name} [0-9.]+ s main$", there[2],
+                             re.M)
         no_children_left()
 
     def test_failed_fork_runs_every_suite_here(self, capsys, monkeypatch):
@@ -368,6 +418,7 @@ class TestVerifyStats:
 
 
     def test_commutativity_blocks_and_cache_entries(self, capsys):
+        cup = len(cli.classical._CUP_CACHE.get((4, 9), ()))
         plain = run(capsys, "verify", "--k", "4", "--n", "9", "--suite",
                     "ring")
         code, out, err = run(capsys, "verify", "--k", "4", "--n", "9",
@@ -378,8 +429,8 @@ class TestVerifyStats:
         assert ("stats: commutativity blocks 2 x 64 columns, peak 18 live "
                 "prefixes (1.1 MB)") in lines
         ring = len(cli.quantum._RING_CACHE[(4, 9)])
-        cup = len(cli.classical._CUP_CACHE[(4, 9)])
-        assert ring and cup == 126
+        # grading reads each cup row once and leaves none in the memo
+        assert ring and len(cli.classical._CUP_CACHE.get((4, 9), ())) == cup
         assert lines[-2] == f"stats: cache entries ring {ring} cup {cup} main"
 
 

@@ -1,13 +1,14 @@
 import random
 
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
-                           pairing, point_class, relabel, row_class,
-                           terms_json, unit_class)
+                           pairing, point_class, rank_map, relabel,
+                           row_class, terms_json, unit_class)
 from qgr.involution import (bar, verify_dual_product_identity,
                             verify_duality_identities,
                             verify_involution_factorization,
                             verify_product_automorphism)
-from qgr.partitions import GrassmannContext, degree, poincare_dual, trim
+from qgr.partitions import (GrassmannContext, bar_involution, degree,
+                            poincare_dual, trim)
 from qgr.quantum import c_apply, quantum_pieri_invariant, quantum_product
 
 from conftest import all_contexts, with_terms
@@ -349,3 +350,64 @@ class TestFailureRecords:
             expected = _invariant_duality_reference(ctx, bad, 1000, k * n)
             assert expected and failures == expected, (k, n)
             assert report.checked == ctx.dim ** 2 + 1000
+
+
+class TestRelabelFailureRecords:
+    """One term changed in one order of a pair below the diagonal.
+
+    The suites compare each ordered pair with its image under a relabel
+    of the table.  The change goes once into a pair whose image lies
+    above the diagonal and once into one whose image lies below it, as
+    an added term, a deleted term and a raised coefficient; each report
+    must equal the per-pair reference.
+    """
+
+    CONTEXTS = [(2, 4), (2, 5), (3, 6)]
+
+    @staticmethod
+    def changes(ctx, table, image):
+        """(changes, image above the diagonal) for the first pair r > j
+        in rank order whose image (image(r, j)) lies above the diagonal,
+        and for the first whose image lies below it."""
+        found = {}
+        for r in range(ctx.dim):
+            for j in range(r):
+                ir, ij = image(r, j)
+                if ir != ij:
+                    found.setdefault(ir < ij, (r, j))
+        assert set(found) == {True, False}
+        for above, (r, j) in sorted(found.items()):
+            terms = dict(table.product_ranks(r, j))
+            first = min(terms)
+            absent = min(set(range(ctx.dim)) - set(terms))
+            for change in ({(r, j, absent): 1}, {(r, j, first): -terms[first]},
+                           {(r, j, first): 1}):
+                yield change, above
+
+    def test_product_automorphism(self, ctx_of, table_of):
+        for k, n in self.CONTEXTS:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            bar_rank = rank_map(ctx, lambda lam: bar_involution(lam, k))
+            for change, above in self.changes(
+                    ctx, table, lambda r, j: (bar_rank[r], bar_rank[j])):
+                bad = with_terms(table, change)
+                report = verify_product_automorphism(ctx, table=bad)
+                expected = _automorphism_reference(ctx, bad)
+                # the suite reads the pairs mu >= lam: the changed pair
+                # only as the image of the pair above the diagonal
+                assert bool(expected) == above, (k, n, change)
+                assert report.failures == expected, (k, n, change)
+
+    def test_dual_product_identity(self, ctx_of, table_of):
+        for k, n in self.CONTEXTS:
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            dual_rank = rank_map(ctx, lambda lam: poincare_dual(lam, k))
+            bar_rank = rank_map(ctx, lambda lam: bar_involution(lam, k))
+            for change, _ in self.changes(
+                    ctx, table, lambda r, j: (dual_rank[r], bar_rank[j])):
+                bad = with_terms(table, change)
+                report = verify_dual_product_identity(ctx, samples=0,
+                                                      table=bad)
+                expected = _dual_product_reference(ctx, bad)
+                assert expected and report.failures == expected, \
+                    (k, n, change)

@@ -8,9 +8,9 @@ import pytest
 
 from qgr import partitions, quantum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
-                           classical_pieri, column_class, lr_coefficient,
-                           point_class, row_class, terms_json, unit_class,
-                           zero_class)
+                           classical_pieri, column_class, cup_product,
+                           lr_coefficient, point_class, row_class,
+                           terms_json, unit_class, zero_class)
 from qgr.partitions import (GrassmannContext, c_shift, degree,
                             poincare_dual, trim)
 from qgr.quantum import (DEFAULT_SEED, GWRecord, _basis_product,
@@ -226,6 +226,21 @@ class TestRingSuites:
     def test_grading_and_classical_part(self, ctx_of, table_of):
         for k, n in all_contexts(6):
             assert verify_grading(ctx_of(k, n), table=table_of(k, n)).ok
+
+    def test_grading_leaves_the_cup_memo_as_it_was(self, ctx_of, table_of,
+                                                   monkeypatch):
+        from qgr import classical
+        ctx, table = ctx_of(3, 7), table_of(3, 7)
+        monkeypatch.setattr(classical, "_CUP_CACHE", {})
+        assert verify_grading(ctx, table=table).ok
+        assert classical._CUP_CACHE == {}
+        # a memo that held rows before keeps them, and gains none
+        expected = cup_product(row_class(ctx, 1), row_class(ctx, 2))
+        held = {key: dict(rows) for key, rows in classical._CUP_CACHE.items()}
+        assert held[(3, 7)]
+        assert verify_grading(ctx, table=table).ok
+        assert classical._CUP_CACHE == held
+        assert cup_product(row_class(ctx, 1), row_class(ctx, 2)) == expected
 
     def test_pieri_consistency(self, ctx_of):
         for k, n in all_contexts(6):
@@ -709,6 +724,21 @@ class TestStructureTable:
             for rb in range(ra, ctx.dim):
                 for rank, c in table.product_ranks(ra, rb):
                     assert type(rank) is int and type(c) is int
+
+    def test_relabel_mismatches_name_the_pair_and_its_preimage(
+            self, ctx_of, table_of):
+        ctx, table = ctx_of(3, 6), table_of(3, 6)
+        bar = np.array([ctx.rank(partitions.bar_involution(lam, 3))
+                        for lam in ctx.basis])
+        for relabel in (np.arange(ctx.dim), bar):
+            rows, cols = table.relabel_mismatches(relabel, relabel, relabel)
+            assert rows.size == cols.size == 0
+        r, j = ctx.rank((2, 1, 0)), ctx.rank((1, 1, 0))
+        for t, delta in [(0, 1), (ctx.rank((3, 2, 0)), -1)]:
+            bad = with_terms(table, {(r, j, t): delta})
+            rows, cols = bad.relabel_mismatches(bar, bar, bar)
+            assert sorted(zip(rows.tolist(), cols.tolist())) == \
+                sorted([(r, j), (bar[r], bar[j])]), t
 
     def test_rank_outside_basis(self, table_of):
         table = table_of(2, 4)
