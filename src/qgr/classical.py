@@ -294,20 +294,6 @@ def lr_coefficient(lam, mu, nu):
     return _lr_count(lam, nu, bound=mu).get(mu, 0)
 
 
-# per-(k, n) memo of cup rows, keyed by rank; pure data, so the cache
-# is observationally transparent
-_CUP_CACHE = {}
-
-
-def _cup_rows(ctx, ra):
-    """_lr_rows(ctx, ra), memoized in _CUP_CACHE for cup_product."""
-    cache = _CUP_CACHE.setdefault((ctx.k, ctx.n), {})
-    hit = cache.get(ra)
-    if hit is None:
-        hit = cache[ra] = _lr_rows(ctx, ra)
-    return hit
-
-
 def _lr_rows(ctx, ra):
     """Cup products of basis[ra] with the diagrams of rank ra and above.
 
@@ -317,9 +303,9 @@ def _lr_rows(ctx, ra):
     Littlewood-Richardson fillings enumerated once; a filling of content
     mu adds 1 to the coefficient of nu in lam * mu.  Returns a dict from
     the rank of mu to the product's (rank, coefficient) pairs, sorted by
-    rank; products that vanish in the box are absent.  Not memoized: a
-    caller that reads each row once, as verify_grading does, keeps
-    nothing.
+    rank; products that vanish in the box are absent.  Not memoized:
+    cup_product keeps the rows it reads for one call, and verify_grading
+    reads each row once.
     """
     lam = ctx.basis[ra]
     pad = (0,) * ctx.l
@@ -337,23 +323,24 @@ def _lr_rows(ctx, ra):
     return {mu: tuple(items) for mu, items in rows.items()}
 
 
-def _cup_basis(ctx, ra, rb):
-    """Cup product of two basis diagrams: (rank, coefficient) pairs."""
-    return _cup_rows(ctx, min(ra, rb)).get(max(ra, rb), ())
-
-
 def cup_product(a, b):
     """Cup product, truncated to diagrams inside the box.
 
     Bilinear extension of the Littlewood-Richardson rule; every output
-    term has degree equal to the sum of the input degrees.
+    term has degree equal to the sum of the input degrees.  Each basis
+    pair is read off the _lr_rows of its lower rank, enumerated once
+    per call and kept for that call only.
     """
     _same_ctx(a, b)
+    rows = {}
     out = {}
     for ra, ca in a.terms.items():
         for rb, cb in b.terms.items():
+            low = min(ra, rb)
+            if low not in rows:
+                rows[low] = _lr_rows(a.ctx, low)
             w = ca * cb
-            for nr, c in _cup_basis(a.ctx, ra, rb):
+            for nr, c in rows[low].get(max(ra, rb), ()):
                 out[nr] = out.get(nr, 0) + w * c
     return CohomClass(a.ctx, out)
 

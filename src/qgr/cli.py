@@ -46,8 +46,8 @@ against 2320 ms at G(5,10).
 verify --stats writes each suite's seconds and the process that ran
 it, the table's term count, the column blocks of the commutativity
 oracle and its most prefix matrices held at once, the entries of each
-process's ring and cup memos, the peak memory of each process and,
-when the worker gave no result, how it ended, to stderr.
+process's ring memo, the peak memory of each process and, when the
+worker gave no result, how it ended, to stderr.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import pickle
 import sys
 import time
 
-from . import classical, involution, quantum, spectrum
+from . import involution, quantum, spectrum
 from .classical import basis_class, terms_json
 from .partitions import GrassmannContext, parse_partition, poincare_dual
 from .quantum import DEFAULT_SEED
@@ -276,8 +276,8 @@ def _beside_worker(main_part, worker_part, log):
         return here, pickle.loads(payload)
     how = (f"signal {signal.Signals(-status).name}" if status < 0
            else f"exit status {status}")
-    log.append(f"spectrum worker gave no result ({how}); its suites ran "
-               f"in main")
+    log.append(f"worker gave no result ({how}); the involution and "
+               f"spectrum suites ran in main")
     return here, None
 
 
@@ -368,11 +368,10 @@ def _peak_rss(where):
 
 
 def _cache_use(ctx, where):
-    """The --stats line for the entries this process's ring and cup
-    memos hold for ctx."""
+    """The --stats line for the entries this process's ring memo holds
+    for ctx."""
     ring = len(quantum._RING_CACHE.get((ctx.k, ctx.n), ()))
-    cup = len(classical._CUP_CACHE.get((ctx.k, ctx.n), ()))
-    return f"cache entries ring {ring} cup {cup} {where}"
+    return f"cache entries ring {ring} {where}"
 
 
 def _write_stats(ctx, log):

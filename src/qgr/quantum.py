@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classical import (CohomClass, _lr_rows, _same_ctx, basis_class,
-                        classical_pieri, column_class, cup_product, pairing,
-                        rank_map, relabel, terms_json)
+                        classical_pieri, column_class, pairing, rank_map,
+                        relabel, terms_json)
 from .partitions import c_shift, degree, nonzero_rows, poincare_dual, trim
 from .reports import VerifyReport
 
@@ -364,7 +364,8 @@ class StructureTable:
         Column j of the dim x dim int64 result holds the coordinates of
         the class times basis[j].  Raises OverflowError unless
         sum |vec| times the largest stored magnitude is below 2**63, the
-        bound under which no entry's sum can wrap.
+        bound under which no entry's sum can wrap.  A class of one rank
+        r is vec[r] times basis_matrix(r), one slice of the table.
         """
         import numpy as np
         dim = self.ctx.dim
@@ -375,8 +376,10 @@ class StructureTable:
         if sum(map(abs, vec.tolist())) * self._max_coeff >= _INT64_BOUND:
             raise OverflowError("multiplication matrix entries could "
                                 "exceed the int64 range")
-        ptr, key, coeff = self.ptr[::dim], self.key, self.coeff
         ranks = np.flatnonzero(vec)
+        if len(ranks) == 1:
+            return vec[ranks[0]] * self.basis_matrix(ranks[0])
+        ptr, key, coeff = self.ptr[::dim], self.key, self.coeff
         width = ptr[ranks + 1] - ptr[ranks]
         mat = np.zeros(dim * dim, dtype=np.int64)
         if 2 * width.sum() > len(key):
@@ -919,10 +922,10 @@ def verify_grading(ctx, table):
     multiplication matrix M_lam: a nonzero entry fails where the degree
     gap deg lam + deg mu - deg t is negative or off a multiple of n, and
     the entries of gap 0 must equal the cup matrix of lam, read off the
-    batched Littlewood-Richardson rows (classical._lr_rows).  Each row
-    is read once, so none is kept in the cup product's memo.  Pairs
-    that fail are recomputed as classes, to write their failure
-    records.
+    batched Littlewood-Richardson rows (classical._lr_rows), each read
+    once and kept by nothing.  Pairs that fail are recomputed as
+    classes, to write their failure records; the cup product in a
+    record is lam's row for mu.
     """
     import numpy as np
     deg = np.array([degree(lam) for lam in ctx.basis])
@@ -931,7 +934,8 @@ def verify_grading(ctx, table):
         mat = table.basis_matrix(ra)[:, ra:]
         gap = deg[ra] + deg[None, ra:] - deg[:, None]
         cup = np.zeros_like(mat)
-        for rb, items in _lr_rows(ctx, ra).items():
+        rows = _lr_rows(ctx, ra)
+        for rb, items in rows.items():
             for t, c in items:
                 cup[t, rb - ra] = c
         bad = ((mat != 0) & ((gap < 0) | (gap % ctx.n != 0))) \
@@ -949,7 +953,8 @@ def verify_grading(ctx, table):
                              "bad_degree": [list(trim(ctx.basis[r]))
                                             for r in sorted(bad_degree)],
                              "top": terms_json(prod.homogeneous_part(total)),
-                             "cup": terms_json(cup_product(a, b))})
+                             "cup": terms_json(CohomClass(
+                                 ctx, dict(rows.get(rb, ()))))})
     failures.sort(key=lambda f: f["pair"])
     return VerifyReport("grading", ctx.k, ctx.n,
                         ctx.dim * (ctx.dim + 1) // 2, failures)

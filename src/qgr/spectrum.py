@@ -101,7 +101,6 @@ class SpectralPoint:
 @dataclass(frozen=True)
 class SpectralData:
     ctx: object
-    residual_tol: float
     characters: np.ndarray      # points x dim complex values, read-only
     points: tuple
 
@@ -198,7 +197,7 @@ def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
         SpectralPoint(i, s, tuple(complex(z) for z in chars[i, row_ranks]),
                       float(residual[i]))
         for i, s in enumerate(subsets))
-    return SpectralData(ctx, residual_tol, chars, points)
+    return SpectralData(ctx, chars, points)
 
 
 def evaluate(a, spectral):
@@ -281,8 +280,8 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     The classes run as one batch, in O(classes * dim) more memory: the
     coefficients of each class, its image and its product, and the
     values at the dim points from two matrix products.  Only the exact
-    work runs per class: M_C (a table slice for a basis class), the
-    product, its matrix and the Gram identity.
+    work runs per class: M_C from mult_matrix, the product, its matrix
+    and the Gram identity.
     """
     vecs = np.zeros((len(classes), ctx.dim), dtype=np.int64)
     for i, c in enumerate(classes):
@@ -295,11 +294,7 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     prods = np.empty_like(vecs)     # the coefficients of C * bar(C)
     issues = []
     for i, c in enumerate(classes):
-        _check_coefficients(c.terms.values())
-        if len(c.terms) == 1 and 1 in c.terms.values():  # a basis class
-            m_c = _checked_entries(table.basis_matrix(*c.terms))
-        else:
-            m_c = _checked_entries(table.matrix(vecs[i]))
+        m_c = mult_matrix(c, table)
         v = bars[i]
         # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
         if int(np.abs(m_c).max(initial=0)) * int(np.abs(v).sum()) >= 2 ** 63:
@@ -341,28 +336,26 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
 def verify_vanishing(ctx, classes, spectral):
     """C vanishes at a point exactly when bar(C) does, within VANISHING_TOL.
 
-    A value that is not finite fails at its point.
+    A value that is not finite fails at its point.  The classes run as
+    one batch: the float coefficients of every class and of its image,
+    and the values of both at every point from two matrix products.
+    Failures come class by class, each class's points in order.
     """
-    chars = spectral.characters
-    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
-    failures = []
-    checked = 0
+    vecs = np.zeros((len(classes), ctx.dim))
     for i, c in enumerate(classes):
-        vec = _coeff_vector(c, np.float64)
-        bar_vec = np.zeros_like(vec)
-        bar_vec[bar_rank] = vec
-        values = chars @ vec
-        bar_values = chars @ bar_vec
-        bad = ((np.abs(values) < VANISHING_TOL)
-               != (np.abs(bar_values) < VANISHING_TOL)) \
-            | ~np.isfinite(values) | ~np.isfinite(bar_values)
-        checked += len(values)
-        for p in np.flatnonzero(bad).tolist():
-            failures.append({"class_index": i, "point": p,
-                             "value": [values[p].real, values[p].imag],
-                             "bar_value": [bar_values[p].real,
-                                           bar_values[p].imag]})
-    return VerifyReport("vanishing", ctx.k, ctx.n, checked, failures)
+        vecs[i, list(c.terms)] = list(c.terms.values())
+    bars = np.empty_like(vecs)      # the coefficients of bar(C)
+    bars[:, rank_map(ctx, partial(bar_involution, k=ctx.k))] = vecs
+    values = vecs @ spectral.characters.T
+    bar_values = bars @ spectral.characters.T
+    bad = ((np.abs(values) < VANISHING_TOL)
+           != (np.abs(bar_values) < VANISHING_TOL)) \
+        | ~np.isfinite(values) | ~np.isfinite(bar_values)
+    failures = [{"class_index": i, "point": p,
+                 "value": [values[i, p].real, values[i, p].imag],
+                 "bar_value": [bar_values[i, p].real, bar_values[i, p].imag]}
+                for i, p in np.argwhere(bad).tolist()]
+    return VerifyReport("vanishing", ctx.k, ctx.n, values.size, failures)
 
 
 def random_integer_classes(ctx, count, seed=DEFAULT_SEED):

@@ -6,11 +6,12 @@ from functools import partial
 import pytest
 
 from qgr import classical
-from qgr.classical import (CohomClass, _column_cells, _cup_rows, _lr_count,
-                           _lr_fillings, basis_class, class_from_parts,
-                           classical_pieri, column_class, cup_product,
-                           lr_coefficient, pairing, point_class, rank_map,
-                           relabel, row_class, unit_class, zero_class)
+from qgr.classical import (CohomClass, _column_cells, _lr_count,
+                           _lr_fillings, _lr_rows, basis_class,
+                           class_from_parts, classical_pieri, column_class,
+                           cup_product, lr_coefficient, pairing, point_class,
+                           rank_map, relabel, row_class, unit_class,
+                           zero_class)
 from qgr.partitions import (GrassmannContext, bar_involution, c_shift,
                             degree, poincare_dual, trim)
 
@@ -230,16 +231,40 @@ class TestLittlewoodRichardson:
 class TestCupProduct:
     def test_cup_rows_leave_no_reference_cycle(self):
         ctx = GrassmannContext(4, 8)
-        classical._CUP_CACHE.pop((4, 8), None)
         gc.collect()
         gc.disable()
         try:
             for ra in range(ctx.dim):
-                _cup_rows(ctx, ra)
-            classical._CUP_CACHE.pop((4, 8))
+                _lr_rows(ctx, ra)
+            # and the rows one cup product reads, dropped when it returns
+            cup_product(row_class(ctx, 1), column_class(ctx))
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_rows_enumerated_once_per_lower_rank(self, monkeypatch):
+        ctx = GrassmannContext(3, 6)
+        calls = []
+        lr_rows = classical._lr_rows
+
+        def counted(ctx, ra):
+            calls.append(ra)
+            return lr_rows(ctx, ra)
+
+        monkeypatch.setattr(classical, "_lr_rows", counted)
+        a = CohomClass(ctx, {r: r - 7 for r in range(ctx.dim)})
+        b = class_from_parts(ctx, [((1, 0, 0), 2), ((2, 1, 0), -1)])
+        expected = zero_class(ctx)
+        for ra, ca in a.terms.items():
+            for rb, cb in b.terms.items():
+                expected += ca * cb * cup_product(
+                    basis_class(ctx, ctx.basis[ra]),
+                    basis_class(ctx, ctx.basis[rb]))
+        calls.clear()
+        assert cup_product(a, b) == expected
+        # one enumeration per distinct lower rank of a pair
+        assert sorted(calls) == sorted({min(ra, rb) for ra in a.terms
+                                        for rb in b.terms})
 
     def test_s1_squared_g24(self):
         ctx = GrassmannContext(2, 4)
@@ -296,7 +321,7 @@ class TestCupProduct:
         for k, n in all_contexts(8):
             ctx = ctx_of(k, n)
             for ra, lam in enumerate(ctx.basis):
-                rows = _cup_rows(ctx, ra)
+                rows = _lr_rows(ctx, ra)
                 assert min(rows, default=ra) >= ra
                 for rb in range(ra, ctx.dim):
                     mu = ctx.basis[rb]

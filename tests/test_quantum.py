@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgr import partitions, quantum
+from qgr import classical, partitions, quantum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            classical_pieri, column_class, cup_product,
                            lr_coefficient, point_class, row_class,
@@ -227,20 +227,13 @@ class TestRingSuites:
         for k, n in all_contexts(6):
             assert verify_grading(ctx_of(k, n), table=table_of(k, n)).ok
 
-    def test_grading_leaves_the_cup_memo_as_it_was(self, ctx_of, table_of,
-                                                   monkeypatch):
-        from qgr import classical
+    def test_grading_leaves_the_cup_memo_as_it_was(self, ctx_of, table_of):
         ctx, table = ctx_of(3, 7), table_of(3, 7)
-        monkeypatch.setattr(classical, "_CUP_CACHE", {})
-        assert verify_grading(ctx, table=table).ok
-        assert classical._CUP_CACHE == {}
-        # a memo that held rows before keeps them, and gains none
         expected = cup_product(row_class(ctx, 1), row_class(ctx, 2))
-        held = {key: dict(rows) for key, rows in classical._CUP_CACHE.items()}
-        assert held[(3, 7)]
         assert verify_grading(ctx, table=table).ok
-        assert classical._CUP_CACHE == held
         assert cup_product(row_class(ctx, 1), row_class(ctx, 2)) == expected
+        # cup products keep no memo for grading to fill or go stale
+        assert not hasattr(classical, "_CUP_CACHE")
 
     def test_pieri_consistency(self, ctx_of):
         for k, n in all_contexts(6):
@@ -552,6 +545,25 @@ class TestGradingFailureRecords:
                          if r not in present)
             self._check(ctx, with_terms(
                 table, _both_orders(ra, rb, {t: -c, moved: c})))
+
+    def test_each_row_enumerated_once(self, ctx_of, table_of, monkeypatch):
+        # with every constant doubled most pairs fail, and their records
+        # read the cup rows in hand instead of enumerating them again
+        ctx, table = ctx_of(3, 6), table_of(3, 6)
+        bad = quantum.StructureTable(ctx, table.ptr, table.key,
+                                     table.coeff * 2)
+        calls = []
+        lr_rows = quantum._lr_rows
+
+        def counted(ctx, ra):
+            calls.append(ra)
+            return lr_rows(ctx, ra)
+
+        # the suite's own reads and any through classical.cup_product
+        monkeypatch.setattr(quantum, "_lr_rows", counted)
+        monkeypatch.setattr(classical, "_lr_rows", counted)
+        self._check(ctx, bad)
+        assert calls == list(range(ctx.dim))
 
 
 def _associativity_reference(ctx, table, samples, seed):

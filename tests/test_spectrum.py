@@ -91,6 +91,10 @@ class TestMultMatrixContraction:
                 loop = _mult_matrix_loop(c, table)
                 assert np.array_equal(mult_matrix(c, table=table), loop)
                 assert np.array_equal(table.basis_matrix(rank), loop)
+                # a class of one rank with a coefficient other than 1
+                m = mult_matrix(-3 * c, table=table)
+                assert m.dtype == np.int64
+                assert np.array_equal(m, _mult_matrix_loop(-3 * c, table))
 
     def test_dense_classes_match_loop(self, ctx_of, table_of):
         for k, n in all_contexts(8):
@@ -566,6 +570,42 @@ class TestVanishing:
             report = verify_vanishing(ctx, classes,
                                       spectral=spectral_of(k, n))
             assert report.ok
+
+    def test_failures_match_per_class_reference(self, ctx_of, spectral_of):
+        # no character of G(2,5) vanishes; make (1) vanish at points 2
+        # and 7 and (2) at points 4 and 8, so that each fails there with
+        # the diagram bar maps onto it, class by class
+        ctx, sd = ctx_of(2, 5), spectral_of(2, 5)
+        chars = sd.characters.copy()
+        chars[[2, 7], ctx.rank((1, 0, 0))] = 0
+        chars[[4, 8], ctx.rank((2, 0, 0))] = 0
+        bad = dataclasses.replace(sd, characters=chars)
+        classes = [basis_class(ctx, lam) for lam in ctx.basis]
+        classes += random_integer_classes(ctx, 5, seed=31)
+        report = verify_vanishing(ctx, classes, spectral=bad)
+        assert report.checked == len(classes) * len(sd.points)
+        assert report.failures == _vanishing_reference(classes, bad)
+        failed = {}
+        for f in report.failures:
+            failed.setdefault(f["class_index"], []).append(f["point"])
+        assert failed == {ctx.rank(lam): points for lam, points in
+                          [((1, 0, 0), [2, 7]), ((2, 0, 0), [4, 8]),
+                           ((1, 1, 1), [4, 8]), ((2, 1, 1), [2, 7])]}
+
+
+def _vanishing_reference(classes, spectral):
+    """Failures of verify_vanishing, one class and one point at a time."""
+    failures = []
+    for i, c in enumerate(classes):
+        values = evaluate(c, spectral)
+        bar_values = evaluate(bar(c), spectral)
+        for p, (v, w) in enumerate(zip(values, bar_values)):
+            if ((abs(v) < 1e-7) != (abs(w) < 1e-7)
+                    or not (np.isfinite(v) and np.isfinite(w))):
+                failures.append({"class_index": i, "point": p,
+                                 "value": [v.real, v.imag],
+                                 "bar_value": [w.real, w.imag]})
+    return failures
 
 
 class TestSpectrumJson:
