@@ -16,9 +16,10 @@ class-valued commands to a terms array; verify and spectrum always
 emit JSON reports.  spectrum prints the closed-form points in subset
 order and takes no seed; verify --seed draws the associativity and
 dual-product triples and the random classes of the spectrum suites.
-verify --tol sets only the positivity gates: the spectrum that verify
-builds keeps the 1e-8 bound on its Pieri residuals, the bound that
-spectrum --tol sets for the spectrum command.  verify builds one
+verify --tol sets only the point-value gates of positivity, whose
+matrices are certified exactly: the spectrum that verify builds keeps
+the 1e-8 bound on its Pieri residuals, the bound that spectrum --tol
+sets for the spectrum command.  verify builds one
 structure table and one spectrum and passes them to every suite that
 reads them.
 
@@ -45,7 +46,9 @@ median 493 ms against 389 ms in one process at G(4,9), and 2272
 against 2320 ms at G(5,10).
 verify --stats writes each suite's seconds and the process that ran
 it, the table's term count, the column blocks of the commutativity
-oracle and its most prefix matrices held at once, the entries of each
+oracle and its most prefix matrices held at once, the Pieri
+commutators it checked, the diagrams of positivity's transpose
+identity, the entries of each
 process's ring memo, the peak memory of each process and, when the
 worker gave no result, how it ended, to stderr.
 """

@@ -31,8 +31,9 @@ and applies the scalar row rule repeatedly.  The same expansion, run
 once per diagram over each block of columns (_giambelli_matrices), is
 the independent oracle the table is checked against, so the
 commutativity suite holds the array form of the rule against the
-scalar one; the test suite validates the expansion against the ring
-axioms rather than trusting it.
+scalar one, and checks that the scalar form's Pieri operators commute;
+the test suite validates the expansion against the ring axioms rather
+than trusting it.
 """
 
 from __future__ import annotations
@@ -441,6 +442,30 @@ class StructureTable:
             rows.append(np.full(len(cols[-1]), r))
         return np.concatenate(rows), np.concatenate(cols)
 
+    def transpose_mismatches(self, pr):
+        """Diagrams r whose matrix is not the transpose of that of pr[r].
+
+        pr is a rank permutation.  Returns the int64 ranks r, in rank
+        order, where M_(pr[r]) is not M_r^T: each key j * dim + t of M_r
+        is read as t * dim + j, and the terms, argsorted by those keys,
+        must equal the slice of pr[r] in keys, coefficients and number.
+        One diagram's terms at a time: no dim x dim matrix and no global
+        sort.
+        """
+        import numpy as np
+        dim, ptr, key, coeff = self.ctx.dim, self.ptr, self.key, self.coeff
+        bad = []
+        for r in range(dim):
+            seg = slice(ptr[r * dim], ptr[r * dim + dim])
+            img = slice(ptr[pr[r] * dim], ptr[pr[r] * dim + dim])
+            j, t = np.divmod(key[seg], dim)
+            flipped = t * dim + j
+            order = np.argsort(flipped)
+            if not (np.array_equal(flipped[order], key[img])
+                    and np.array_equal(coeff[seg][order], coeff[img])):
+                bad.append(r)
+        return np.array(bad, dtype=np.int64)
+
     def __eq__(self, other):
         import numpy as np
         return (isinstance(other, StructureTable) and self.ctx == other.ctx
@@ -797,6 +822,46 @@ def _giambelli_matrices(ctx):
             yield lo, rank, g, live
 
 
+def _pieri_commutators(ctx):
+    """Failure records of the row pairs r < s where P_r P_s != P_s P_r.
+
+    P_r are the oracle's own Pieri operators (_pieri_apply), applied to
+    the columns of the identity in blocks of _GIAMBELLI_BLOCK.  A record
+    names the row classes (r) and (s), the first column basis[j] where
+    the two orders differ, and both images of it: lhs is P_r P_s basis[j]
+    and rhs is P_s P_r basis[j].  Returns (pairs checked, records).
+    """
+    import numpy as np
+    dim, rows = ctx.dim, range(1, ctx.k + 1)
+    pairs = [(r, s) for r in rows for s in rows if r < s]
+    if not pairs:
+        return 0, []
+    apply = _pieri_apply(ctx)
+    first = {}
+    for lo in range(0, dim, _GIAMBELLI_BLOCK):
+        eye = np.eye(dim, min(_GIAMBELLI_BLOCK, dim - lo), -lo,
+                     dtype=np.int64)
+        once = {r: apply(r, eye, 1) for r in rows}
+        peak = {r: int(np.abs(x).max(initial=0)) for r, x in once.items()}
+        for r, s in pairs:
+            if (r, s) in first:
+                continue
+            rs = apply(r, once[s], peak[s])
+            sr = apply(s, once[r], peak[r])
+            diff = np.flatnonzero((rs != sr).any(axis=0))
+            if diff.size:
+                j = int(diff[0])
+                first[r, s] = (lo + j, rs[:, j], sr[:, j])
+
+    def terms(col):
+        return terms_json(CohomClass(ctx, dict(enumerate(col.tolist()))))
+
+    return len(pairs), [{"rows": [[r], [s]],
+                         "column": list(trim(ctx.basis[j])),
+                         "lhs": terms(rs), "rhs": terms(sr)}
+                        for (r, s), (j, rs, sr) in sorted(first.items())]
+
+
 def verify_commutativity(ctx, table):
     """Compute each basis product both ways and compare.
 
@@ -809,8 +874,17 @@ def verify_commutativity(ctx, table):
     expansion of its first factor.  Only pairs that disagree are
     recomputed per pair, to write their failure records: one for two
     orientations that differ, one for each order whose stored product
-    differs from its expansion.  The report's stats give the blocks and
-    the most prefix matrices held at once.
+    differs from its expansion.
+
+    A table that passes has every M_lam equal to G_lam(P), the Giambelli
+    polynomial of lam in the oracle's Pieri operators P_r.  The suite also checks that
+    the P_r commute, P_r P_s = P_s P_r for every r < s
+    (_pieri_commutators), with one record, after the pair records, for
+    each pair of rows that does not.  With G_lam e_0 = e_lam, the unit's
+    column (verify_giambelli), this makes the table multiplicative,
+    M_(C D) = M_C M_D for all classes, which verify_positivity builds
+    on.  The report's stats give the blocks, the most prefix matrices
+    held at once and the commutators checked.
     """
     import numpy as np
     suspects = set()
@@ -841,11 +915,14 @@ def verify_commutativity(ctx, table):
                                  "giambelli": terms_json(
                                      CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
+    commutators, records = _pieri_commutators(ctx)
+    failures += records
     width = min(_GIAMBELLI_BLOCK, ctx.dim)
     blocks = -(-ctx.dim // width)
     held = peak * ctx.dim * width * 8 / 2 ** 20
     stats = [f"commutativity blocks {blocks} x {width} columns, peak "
-             f"{peak} live prefixes ({held:.1f} MB)"]
+             f"{peak} live prefixes ({held:.1f} MB)",
+             f"commutativity Pieri commutators {commutators}"]
     return VerifyReport("commutativity", ctx.k, ctx.n,
                         ctx.dim * (ctx.dim + 1) // 2, failures, stats=stats)
 

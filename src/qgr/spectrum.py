@@ -19,10 +19,11 @@ involution conjugates every character value, that conjugation
 permutes the points as S -> S-bar, that multiplication by C * bar(C)
 is positive semidefinite with real non-negative values, and that C
 and bar(C) vanish at the same points.  As bar is conjugation,
-multiplication by bar(C) is the transpose of multiplication by C, so
-the matrix of C * bar(C) should be the Gram matrix M_C M_C^T; this is
-checked exactly over the integers, and only a matrix that fails the
-identity is judged by float symmetry and eigenvalue gates.
+multiplication by bar(lam) is the transpose of multiplication by lam
+for every diagram, M_(bar lam) = M_lam^T; this is checked exactly,
+once for the whole table.  With the multiplicativity the ring suites
+check, it makes the matrix of C * bar(C) the Gram matrix M_C M_C^T
+for every integer class C, so no matrix is judged by a float gate.
 """
 
 from __future__ import annotations
@@ -246,74 +247,84 @@ def verify_point_conjugation(ctx, spectral):
                         len(spectral.points), failures)
 
 
-def _gram_certified(mat, m_c):
-    """Whether mat equals the Gram matrix M_C M_C^T exactly.
-
-    The product runs in float64 only where dim * max |M_C|^2 < 2**53, so
-    every partial sum is an exactly represented integer; above that
-    bound nothing is certified.
-    """
-    peak = int(np.abs(m_c).max(initial=0))
-    if len(m_c) * peak * peak >= 2 ** 53:
-        return False
-    f = m_c.astype(np.float64)
-    return np.array_equal(mat, f @ f.T)
-
-
 def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
-    """Symmetry and semipositivity of multiplication by C * bar(C).
+    """Semipositivity of multiplication by C * bar(C), exactly, and its
+    real non-negative values at every point.
 
-    Checks, for each class C, that the matrix of C * bar(C) is
-    semidefinite: first exactly, as the Gram identity M_(C bar C) =
-    M_C M_C^T (_gram_certified), which makes it symmetric and positive
-    semidefinite.  Where the identity fails or its exact bound does
-    not hold, the float gates decide: exact integer symmetry, then
-    eigenvalues at least -tol * max(1, largest |eigenvalue|).  Every
-    class also needs point values with imaginary part at most, and
-    real part at least minus, tol * max(1, sum_t |X[S, t]| |v_t|), the
-    rounding scale of the value sum_t X[S, t] v_t of the product v at
-    the point S.  NaN fails every float gate.  The product's
-    coordinates are M_C applied to the coordinates of bar(C), and its
-    matrix is built from them; the Gram identity is checked, never
-    assumed, so no step assumes associativity.
+    The matrices are certified for every integer class at once, not
+    class by class.  The transpose identity M_(bar lam) = M_lam^T is
+    checked here for every diagram, as one relabel of the table
+    (StructureTable.transpose_mismatches), and each diagram that fails
+    it gets a record naming lam and bar(lam).  Three premises come from
+    the ring suites:
+      (a) the oracle's Pieri operators commute, P_r P_s = P_s P_r
+          (verify_commutativity);
+      (b) M_lam = G_lam(P), the Giambelli polynomial of lam in the P_r,
+          for every diagram (verify_commutativity);
+      (c) G_lam e_0 = e_lam, with e_0 the unit's column
+          (verify_giambelli).
+    By (a) and (b) every M_lam lies in the commutative algebra the P_r
+    generate, and by (b) and (c) M_lam e_0 = e_lam, so an element X of
+    that algebra is fixed by X e_0: X e_lam = G_lam(P) X e_0.  Both
+    M_lam M_mu and sum_nu N_(lam mu)^nu M_nu send e_0 to column mu of
+    M_lam, so they are equal, and M_(C D) = M_C M_D for all classes.
+    By linearity M_(bar C) = M_C^T, so M_(C bar C) = M_C M_C^T is a Gram
+    matrix, symmetric and positive semidefinite, for every integer class
+    C.  verify --suite spectrum alone checks the identity and the point
+    values; the Gram identity for every class needs the ring suites of
+    --suite all as well.
 
-    The classes run as one batch, in O(classes * dim) more memory: the
-    coefficients of each class, its image and its product, and the
-    values at the dim points from two matrix products.  Only the exact
-    work runs per class: M_C from mult_matrix, the product, its matrix
-    and the Gram identity.
+    Per class, only the coordinates v of the product are computed: M_C
+    from mult_matrix applied to the coordinates of bar(C), or, for a
+    multiple a of one diagram lam, a^2 times the column bar(lam) of
+    M_lam (StructureTable.basis_columns), so M_lam is not built.  Every
+    class needs point values with imaginary part at most, and real part
+    at least minus, tol * max(1, sum_t |X[S, t]| |v_t|), the rounding
+    scale of the value sum_t X[S, t] v_t of the product at the point S;
+    NaN fails both gates.  The values come as one batch, from two matrix
+    products with the characters, in O(classes * dim) more memory.
+    Failures list the diagrams of the identity, by lam, then the
+    classes, in order.
     """
-    vecs = np.zeros((len(classes), ctx.dim), dtype=np.int64)
+    dim = ctx.dim
+    bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
+    failures = [{"lam": list(trim(ctx.basis[r])),
+                 "bar": list(trim(ctx.basis[bar_rank[r]])),
+                 "problem": "M_bar is not the transpose of M_lam"}
+                for r in table.transpose_mismatches(bar_rank).tolist()]
+    failures.sort(key=lambda f: f["lam"])
+    vecs = np.zeros((len(classes), dim), dtype=np.int64)
     for i, c in enumerate(classes):
         # a coefficient beyond the bound is refused when its class is
         # reached, below
         if c.terms and max(map(abs, c.terms.values())) < _ENTRY_BOUND:
             vecs[i, list(c.terms)] = list(c.terms.values())
     bars = np.empty_like(vecs)      # the coefficients of bar(C)
-    bars[:, rank_map(ctx, partial(bar_involution, k=ctx.k))] = vecs
+    bars[:, bar_rank] = vecs
     prods = np.empty_like(vecs)     # the coefficients of C * bar(C)
-    issues = []
     for i, c in enumerate(classes):
-        m_c = mult_matrix(c, table)
-        v = bars[i]
+        ranks = np.flatnonzero(vecs[i])
+        if len(ranks) == 1:
+            # C = a lam: C * bar(C) is a^2 times lam * bar(lam), the
+            # column bar(lam) of M_lam, the only one bar(C) reads; the
+            # guards take max |M_C| from the slice of lam
+            r, b = ranks[0], bar_rank[ranks[0]]
+            a = int(vecs[i, r])
+            seg = table.coeff[table.ptr[r * dim]:table.ptr[r * dim + dim]]
+            peak = abs(a) * max(int(seg.max(initial=0)),
+                                -int(seg.min(initial=0)))
+            if peak >= _ENTRY_BOUND:
+                raise OverflowError(
+                    "matrix entries exceed the safe integer bound")
+            m_c, v = a * table.basis_columns(r, b, b + 1), bars[i, b:b + 1]
+        else:
+            m_c, v = mult_matrix(c, table), bars[i]
+            peak = int(np.abs(m_c).max(initial=0))
         # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
-        if int(np.abs(m_c).max(initial=0)) * int(np.abs(v).sum()) >= 2 ** 63:
+        if peak * int(np.abs(v).sum()) >= 2 ** 63:
             raise OverflowError("C * bar(C) exceeds the safe integer bound")
         prod = prods[i] = m_c @ v
         _check_coefficients(prod[np.abs(prod) >= _ENTRY_BOUND].tolist())
-        mat = _checked_entries(table.matrix(prod))
-        found = []
-        # a Gram matrix is symmetric and semidefinite; the float gates
-        # judge only a matrix that is not certified as one
-        if not _gram_certified(mat, m_c):
-            if not np.array_equal(mat, mat.T):
-                found.append("matrix not symmetric")
-            else:
-                eig = np.linalg.eigvalsh(mat.astype(np.float64))
-                eigmin = float(eig.min())
-                if not eigmin >= -tol * max(1.0, float(np.abs(eig).max())):
-                    found.append(f"minimum eigenvalue {eigmin:.3e}")
-        issues.append(found)
     weights = prods.astype(np.float64)
     values = weights @ spectral.characters.T
     # the rounding scale of each value's dot product
@@ -321,16 +332,15 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
         spectral.characters).T)
     not_real = ~(np.abs(values.imag) <= bound).all(axis=1)
     negative = ~(-values.real <= bound).all(axis=1)
-    failures = []
-    for i, (c, found) in enumerate(zip(classes, issues)):
-        if not_real[i]:
-            found.append("values not real")
-        if negative[i]:
-            found.append("negative value")
+    for i, c in enumerate(classes):
+        found = (["values not real"] if not_real[i] else []) \
+            + (["negative value"] if negative[i] else [])
         if found:
             failures.append({"class_index": i, "terms": terms_json(c),
                              "issues": found})
-    return VerifyReport("positivity", ctx.k, ctx.n, len(classes), failures)
+    return VerifyReport("positivity", ctx.k, ctx.n, len(classes), failures,
+                        stats=[f"positivity transpose identity on {dim} "
+                               f"diagrams"])
 
 
 def verify_vanishing(ctx, classes, spectral):

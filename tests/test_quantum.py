@@ -289,6 +289,27 @@ def _commutativity_reference(ctx, table):
                         "table": terms_json(CohomClass(ctx, stored)),
                         "giambelli": terms_json(CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
+    return failures + _commutator_reference(ctx)
+
+
+def _commutator_reference(ctx):
+    """Commutator records of verify_commutativity, column by column.
+
+    P_r P_s basis[j] and P_s P_r basis[j] come from quantum_pieri_product,
+    the Python form of the rule; each pair of rows r < s reports its
+    first column where the two differ.
+    """
+    failures = []
+    for r, s in itertools.combinations(range(1, ctx.k + 1), 2):
+        for lam in ctx.basis:
+            e = basis_class(ctx, lam)
+            lhs = quantum_pieri_product(r, quantum_pieri_product(s, e))
+            rhs = quantum_pieri_product(s, quantum_pieri_product(r, e))
+            if lhs != rhs:
+                failures.append({"rows": [[r], [s]], "column": list(trim(lam)),
+                                 "lhs": terms_json(lhs),
+                                 "rhs": terms_json(rhs)})
+                break
     return failures
 
 
@@ -311,10 +332,59 @@ class TestCommutativityFailureRecords:
                 expected = _commutativity_reference(ctx, table)
             kinds = {tuple(sorted(f)) for f in expected}
             assert kinds == {("giambelli", "pair", "table"),
-                             ("lhs", "pair", "rhs")}, (k, n)
+                             ("lhs", "pair", "rhs"),
+                             ("column", "lhs", "rhs", "rows")}, (k, n)
             assert report.failures == expected, (k, n)
             assert report.checked == ctx.dim * (ctx.dim + 1) // 2
 
+
+    def test_noncommuting_pieri_rows_with_true_table(self, monkeypatch):
+        pieri_row = quantum._pieri_row
+
+        def corrupted(ctx, r, rank):
+            # (1) times the unit gains (2,2): P_1 and P_2 no longer commute
+            row = pieri_row(ctx, r, rank)
+            return (tuple(sorted(row + (ctx.rank((2, 2)),)))
+                    if (r, rank) == (1, 0) else row)
+
+        ctx = GrassmannContext(2, 4)
+        table = build_table(ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "_pieri_row", corrupted)
+            report = verify_commutativity(ctx, table=table)
+            expected = _commutativity_reference(ctx, table)
+        assert report.failures == expected
+        # P_1 P_2 1 = (1) * (2), but P_2 P_1 1 = (2) * ((1) + (2,2))
+        assert [f for f in report.failures if "rows" in f] == [
+            {"rows": [[1], [2]], "column": [],
+             "lhs": [{"p": [2, 1], "c": 1}],
+             "rhs": [{"p": [1, 1], "c": 1}, {"p": [2, 1], "c": 1}]}]
+        assert report.stats[1] == "commutativity Pieri commutators 1"
+
+    def test_commutators_read_the_oracle_not_the_pieri_matrix(
+            self, ctx_of, table_of, monkeypatch):
+        pieri_matrix = quantum._pieri_matrix
+
+        def corrupted(ctx, r):
+            # (1) times the unit gains (2,2), in the array form only
+            matrix = pieri_matrix(ctx, r)
+            extra = {0: (ctx.rank((2, 2)),)}
+            return with_extra_targets(matrix, extra) if r == 1 else matrix
+
+        ctx, table = ctx_of(2, 4), table_of(2, 4)
+
+        def dense(r):
+            ptr, targets = quantum._pieri_matrix(ctx, r)
+            mat = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
+            mat[targets, np.repeat(np.arange(ctx.dim), np.diff(ptr))] = 1
+            return mat
+
+        monkeypatch.setattr(quantum, "_pieri_matrix", corrupted)
+        p1, p2 = dense(1), dense(2)
+        assert not np.array_equal(p1 @ p2, p2 @ p1)
+        report = verify_commutativity(ctx, table=table)
+        assert report.ok
+        assert report.stats[1] == "commutativity Pieri commutators 1"
 
     def test_corrupted_pieri_matrix_reported_against_giambelli(
             self, monkeypatch):
@@ -751,6 +821,21 @@ class TestStructureTable:
             rows, cols = bad.relabel_mismatches(bar, bar, bar)
             assert sorted(zip(rows.tolist(), cols.tolist())) == \
                 sorted([(r, j), (bar[r], bar[j])]), t
+
+    def test_transpose_mismatches(self, ctx_of, table_of):
+        for k, n in all_contexts(8):
+            ctx, table = ctx_of(k, n), table_of(k, n)
+            bar_rank = np.array([ctx.rank(partitions.bar_involution(lam, k))
+                                 for lam in ctx.basis])
+            # the paper's theorem: M_(bar lam) is M_lam transposed
+            assert table.transpose_mismatches(bar_rank).tolist() == [], (k, n)
+            # read against itself, a matrix fails where it is not symmetric
+            ranks = np.arange(ctx.dim)
+            unsymmetric = [r for r in range(ctx.dim)
+                           if not np.array_equal(table.basis_matrix(r),
+                                                 table.basis_matrix(r).T)]
+            assert table.transpose_mismatches(ranks).tolist() == \
+                unsymmetric, (k, n)
 
     def test_rank_outside_basis(self, table_of):
         table = table_of(2, 4)

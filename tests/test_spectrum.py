@@ -10,7 +10,7 @@ from qgr import spectrum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            row_class, terms_json, unit_class, zero_class)
 from qgr.involution import bar
-from qgr.partitions import GrassmannContext
+from qgr.partitions import GrassmannContext, bar_involution, trim
 from qgr.quantum import StructureTable, quantum_product
 from qgr.spectrum import (DegenerateSpectrum, conjugation_point_permutation,
                           evaluate, joint_eigenbasis, mult_matrix,
@@ -423,65 +423,72 @@ class TestPositivity:
                                            table=table_of(k, n))
                 assert report.ok, (k, n, m, report.failures)
 
-    def test_eigenvalue_gate_is_relative(self, ctx_of, table_of,
-                                         spectral_of, monkeypatch):
-        ctx = ctx_of(3, 6)
-        c = 100 * random_integer_classes(ctx, 1, seed=5)[0]
-        # the eigenvalue gate judges only matrices the exact certificate
-        # leaves open
-        monkeypatch.setattr(spectrum, "_gram_certified",
-                            lambda mat, m_c: False)
-        eigvalsh = np.linalg.eigvalsh
-        for shift, reported in [(1e-12, False), (1e-6, True)]:
-            def shifted(a, shift=shift):
-                # the smallest eigenvalue becomes -shift * max |eigenvalue|
-                eig = eigvalsh(a)
-                return eig - eig.min() - shift * np.abs(eig).max()
-
-            monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-            report = verify_positivity(ctx, [c], spectral=spectral_of(3, 6),
-                                       table=table_of(3, 6))
-            issues = [i for f in report.failures for i in f["issues"]]
-            assert [i.startswith("minimum eigenvalue") for i in issues] == \
-                ([True] if reported else []), shift
+    def test_transpose_identity_needs_no_class_or_tolerance(
+            self, ctx_of, table_of, spectral_of):
+        ctx, sd = ctx_of(3, 6), spectral_of(3, 6)
+        bar_rank = _bar_ranks(ctx)
+        # raise the coefficient of (2,1) in (1) * (1,1), one order only
+        a, b, t = (ctx.rank(lam) for lam in [(1, 0, 0), (1, 1, 0), (2, 1, 0)])
+        bad = with_terms(table_of(3, 6), {(a, b, t): 1})
+        # the identity is checked once for the table, exactly: the same
+        # records with no class at all and at any tolerance
+        for classes, tol in [([], 1e-8), ([], 1e3),
+                             ([100 * random_integer_classes(ctx, 1, 5)[0]],
+                              1e3)]:
+            report = verify_positivity(ctx, classes, spectral=sd, table=bad,
+                                       tol=tol)
+            assert report.checked == len(classes)
+            assert report.failures == _transpose_records(
+                ctx, sorted({a, bar_rank[a]})), (classes, tol)
 
     def test_certificate_covers_every_class(self, ctx_of, table_of,
                                             spectral_of, monkeypatch):
         def refused(a):
-            raise AssertionError("a certified class reached eigvalsh")
+            raise AssertionError("positivity reached eigvalsh")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        built = []
+        matrix = spectrum.mult_matrix
+
+        def counted(c, table):
+            built.append(c)
+            return matrix(c, table)
+
+        # a basis class reads one column of its matrix, which is not built
+        monkeypatch.setattr(spectrum, "mult_matrix", counted)
         for k, n in all_contexts(8):
             ctx = ctx_of(k, n)
-            classes = [basis_class(ctx, lam) for lam in ctx.basis]
-            classes += random_integer_classes(ctx, 20, seed=n)
+            dense = random_integer_classes(ctx, 20, seed=n)
+            classes = [basis_class(ctx, lam) for lam in ctx.basis] + dense
+            built.clear()
             report = verify_positivity(ctx, classes,
                                        spectral=spectral_of(k, n),
                                        table=table_of(k, n))
             assert report.ok and report.checked == len(classes), (k, n)
+            assert report.stats == [
+                f"positivity transpose identity on {ctx.dim} diagrams"]
+            assert built == [c for c in dense if len(c.terms) > 1], (k, n)
 
-    def test_failed_identity_falls_back_to_float_gates(
+    def test_failed_identity_names_lam_and_bar(
             self, ctx_of, table_of, spectral_of, monkeypatch):
         ctx, table, sd = ctx_of(3, 6), table_of(3, 6), spectral_of(3, 6)
-        # raise the coefficient of (3,2,1) in (1) * (3,1,1)
+        bar_rank = _bar_ranks(ctx)
+        # raise the coefficient of (3,2,1) in (1) * (3,1,1), both orders
         a, b, t = (ctx.rank(lam) for lam in [(1, 0, 0), (3, 1, 1), (3, 2, 1)])
         bad = with_terms(table, {(a, b, t): 1, (b, a, t): 1})
-        certified = spectrum._gram_certified
-        refused = []
 
-        def counted(mat, m_c):
-            ok = certified(mat, m_c)
-            refused.append(not ok)
-            return ok
+        def refused(a):
+            raise AssertionError("positivity reached eigvalsh")
 
-        monkeypatch.setattr(spectrum, "_gram_certified", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
         classes += random_integer_classes(ctx, 5, seed=6)
         report = verify_positivity(ctx, classes, spectral=sd, table=bad)
-        assert any(refused)
         assert report.failures == _positivity_reference(ctx, classes, sd, bad)
-        assert any(issue.startswith("minimum eigenvalue")
-                   for f in report.failures for issue in f["issues"])
+        named = {a, b, bar_rank[a], bar_rank[b]}
+        assert report.failures[:len(named)] == _transpose_records(
+            ctx, sorted(named))
+        assert all("class_index" in f for f in report.failures[len(named):])
 
     def test_perturbed_character_is_reported(self, ctx_of, table_of,
                                              spectral_of):
@@ -511,21 +518,65 @@ class TestPositivity:
             assert expected and report.failures == expected, (k, n)
             assert report.checked == len(classes)
 
+    def test_overflow_guards_in_class_order(self, ctx_of, table_of,
+                                            spectral_of):
+        # the first class that could wrap raises, whether its matrix is
+        # built (a dense class) or one column of it is read (a multiple
+        # of one diagram)
+        ctx, table, sd = ctx_of(3, 6), table_of(3, 6), spectral_of(3, 6)
+        s1 = row_class(ctx, 1)
+        # (2,1) * (2,1) holds 2 (3,2,1): M_(2,1) has an entry 2
+        s21 = basis_class(ctx, (2, 1, 0))
+        dense = random_integer_classes(ctx, 1, seed=3)[0]
+        for classes, message in [
+                ([s1, 2 ** 31 * s1], "coefficient 2147483648 too large"),
+                ([-2 ** 31 * s21], "coefficient -2147483648 too large"),
+                ([2 ** 31 * dense, 2 ** 20 * s1],
+                 "coefficient -4294967296 too large"),
+                ([2 ** 16 * s1], "coefficient 4294967296 too large"),
+                ([2 ** 30 * s21],
+                 "matrix entries exceed the safe integer bound"),
+                ([2 ** 30 * s1, 2 ** 31 * dense],
+                 "coefficient 1152921504606846976 too large")]:
+            with pytest.raises(OverflowError, match=f"^{message}$"):
+                verify_positivity(ctx, classes, spectral=sd, table=table)
+
+
+def _bar_ranks(ctx):
+    """bar as a list of ranks: basis[r] goes to basis[out[r]]."""
+    return [ctx.rank(bar_involution(lam, ctx.k)) for lam in ctx.basis]
+
+
+def _transpose_records(ctx, ranks):
+    """The positivity records of diagrams that fail the transpose identity."""
+    bar_rank = _bar_ranks(ctx)
+    return [{"lam": list(trim(ctx.basis[r])),
+             "bar": list(trim(ctx.basis[bar_rank[r]])),
+             "problem": "M_bar is not the transpose of M_lam"}
+            for r in ranks]
+
 
 def _positivity_reference(ctx, classes, spectral, table, tol=1e-8):
-    """Failures of verify_positivity, from per-pair products."""
+    """Failures of verify_positivity, from per-pair products.
+
+    A diagram lam fails the identity where the coefficient of t in
+    bar(lam) * j is not that of j in lam * t, for some ranks j and t.
+    """
+    bar_rank = _bar_ranks(ctx)
+
+    def entries(r):
+        return {(j, t): c for j in range(ctx.dim)
+                for t, c in table.product_ranks(r, j)}
+
+    failures = _transpose_records(ctx, [
+        r for r in range(ctx.dim)
+        if entries(bar_rank[r]) != {(t, j): c for (j, t), c
+                                    in entries(r).items()}])
+    failures.sort(key=lambda f: f["lam"])
     chars = spectral.characters
-    failures = []
     for i, c in enumerate(classes):
         prod = quantum_product(c, bar(c), table=table)
-        mat = _mult_matrix_loop(prod, table)
         issues = []
-        if (mat != mat.T).any():
-            issues.append("matrix not symmetric")
-        else:
-            eig = np.linalg.eigvalsh(mat.astype(np.float64))
-            if eig.min() < -tol * max(1.0, np.abs(eig).max()):
-                issues.append(f"minimum eigenvalue {eig.min():.3e}")
         real, imag, bound = [], [], []
         for point in range(chars.shape[0]):
             terms = [(chars[point, t], v) for t, v in prod.terms.items()]
