@@ -17,13 +17,14 @@ from .quantum import (DEFAULT_SEED, GWRecord, StructureTable, build_table,
                       c_apply, giambelli_expand, gw_invariant, gw_record,
                       quantum_pieri_invariant, quantum_pieri_product,
                       quantum_product)
+# compiled before numpy loads, so the compile stays off the peak memory
+from .spectrum import (DegenerateSpectrum, SpectralData, SpectralPoint,
+                       evaluate, joint_eigenbasis, mult_matrix,
+                       verify_certificate, verify_conjugation,
+                       verify_positivity, verify_vanishing)
 from .involution import (bar, verify_dual_product_identity,
                          verify_duality_identities,
                          verify_involution_factorization,
                          verify_product_automorphism)
-from .spectrum import (DegenerateSpectrum, SpectralData, SpectralPoint,
-                       evaluate, joint_eigenbasis, mult_matrix,
-                       verify_conjugation, verify_positivity,
-                       verify_vanishing)
 
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ before any work; an error raised inside the library is not bad input
 and surfaces with its traceback.  --output json switches the
 class-valued commands to a terms array; verify and spectrum always
 emit JSON reports.  spectrum prints the closed-form points in subset
-order and takes no seed; verify --seed draws the associativity and
-dual-product triples and the random classes of the spectrum suites.
+order and takes no seed; verify --seed draws the certificate's
+weights, the commutativity pairs, the associativity and dual-product
+triples and the random classes of the spectrum suites.
 verify --tol sets only the point-value gates of positivity, whose
 matrices are certified exactly: the spectrum that verify builds keeps
 the 1e-8 bound on its Pieri residuals, the bound that spectrum --tol
@@ -28,16 +29,12 @@ On a POSIX host with more CPUs than numpy's BLAS pool has threads
 OMP_NUM_THREADS sets fewer), verify --suite all runs the involution
 and spectrum suites in one forked worker while this process runs the
 ring suites; the output is the same byte for byte, and the memory is
-held by two processes, each with its own peak.  The split follows the
-time, as the run ends when the slower process does: with BLAS on one
-thread at G(4,9), --stats put a median 0.20 s in the ring suites and
-0.25 s in the worker's, against 0.26 and 0.25 s when the involution
-suites ran here.  The worker only saves time: where it cannot be
-forked or gives no result, this process runs the involution and
-spectrum suites after the ring suites, so an error in them surfaces
-here with this process's traceback.  Every other suite choice, and
-every other host, runs them in this process through the same
-functions.  It is a process because the ring suites hold the GIL: on
+held by two processes, each with its own peak.  The worker only saves
+time: where it cannot be forked or gives no result, this process runs
+the involution and spectrum suites after the ring suites, so an error
+in them surfaces here with this process's traceback.  Every other
+suite choice, and every other host, runs them in this process through
+the same functions.  It is a process because the ring suites hold the GIL: on
 2 CPUs with BLAS on one thread, a thread in its place took a median
 507 ms against the fork's 324 ms for verify --suite all at G(4,9).
 It needs a spare CPU because its BLAS pool would contend with this
@@ -45,12 +42,11 @@ process: forked with default BLAS threads there, the run took a
 median 493 ms against 389 ms in one process at G(4,9), and 2272
 against 2320 ms at G(5,10).
 verify --stats writes each suite's seconds and the process that ran
-it, the table's term count, the column blocks of the commutativity
-oracle and its most prefix matrices held at once, the Pieri
-commutators it checked, the diagrams of positivity's transpose
-identity, the entries of each
-process's ring memo, the peak memory of each process and, when the
-worker gave no result, how it ended, to stderr.
+it, the table's term count, the ordered pairs the certificate compared
+and the rank it found, the diagrams of positivity's transpose
+identity, the entries of each process's ring memo, the peak memory of
+each process and, when the worker gave no result, how it ended, to
+stderr.
 """
 
 from __future__ import annotations
@@ -163,12 +159,13 @@ def _suite_runner(ctx, log, where):
 def _ring_suites(ctx, seed, table, log, where):
     """The ring suites, in order."""
     run = _suite_runner(ctx, log, where)
-    return [run(quantum.verify_commutativity, table=table),
+    return [run(quantum.verify_commutativity, seed=seed, table=table),
             run(quantum.verify_associativity, seed=seed, table=table),
             run(quantum.verify_grading, table=table),
             run(quantum.verify_pieri_consistency),
             run(quantum.verify_giambelli),
-            run(quantum.verify_cyclic, table=table)]
+            run(quantum.verify_cyclic, table=table),
+            run(spectrum.verify_certificate, seed=seed, table=table)]
 
 
 def _involution_suites(ctx, seed, table, log, where):

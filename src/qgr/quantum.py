@@ -27,13 +27,9 @@ they are built, as integer arrays.
 
 A single product (mul, gw) expands one factor by the Giambelli
 determinant in single-row classes (valid verbatim in the quantum ring)
-and applies the scalar row rule repeatedly.  The same expansion, run
-once per diagram over each block of columns (_giambelli_matrices), is
-the independent oracle the table is checked against, so the
-commutativity suite holds the array form of the rule against the
-scalar one, and checks that the scalar form's Pieri operators commute;
-the test suite validates the expansion against the ring axioms rather
-than trusting it.
+and applies the scalar row rule repeatedly.  spectrum.verify_certificate
+proves the table exact; verify_pieri_consistency and
+verify_commutativity tie the scalar rule and its products to it.
 """
 
 from __future__ import annotations
@@ -393,22 +389,13 @@ class StructureTable:
         return mat.reshape(dim, dim).T
 
     def basis_matrix(self, rank):
-        """Integer matrix of multiplication by basis[rank]."""
-        return self.basis_columns(rank, 0, self.ctx.dim)
-
-    def basis_columns(self, rank, lo, hi):
-        """Columns lo:hi of the integer matrix of basis[rank], dim rows.
-
-        They are the products with basis[lo], ..., basis[hi - 1], the
-        one slice ptr[rank * dim + lo]:ptr[rank * dim + hi].
-        """
+        """Integer matrix of multiplication by basis[rank], one slice."""
         import numpy as np
         dim = self.ctx.dim
-        seg = slice(self.ptr[rank * dim + lo], self.ptr[rank * dim + hi])
-        mat = np.zeros((hi - lo) * dim, dtype=np.int64)
-        # one term per (column, target)
-        mat[self.key[seg] - lo * dim] = self.coeff[seg]
-        return mat.reshape(hi - lo, dim).T
+        seg = slice(self.ptr[rank * dim], self.ptr[rank * dim + dim])
+        mat = np.zeros(dim * dim, dtype=np.int64)
+        mat[self.key[seg]] = self.coeff[seg]    # one term per (column, target)
+        return mat.reshape(dim, dim).T
 
     def relabel_mismatches(self, pr, pj, pt):
         """Ordered pairs whose product the relabel (pr, pj, pt) changes.
@@ -446,15 +433,15 @@ class StructureTable:
         """Diagrams r whose matrix is not the transpose of that of pr[r].
 
         pr is a rank permutation.  Returns the int64 ranks r, in rank
-        order, where M_(pr[r]) is not M_r^T: each key j * dim + t of M_r
-        is read as t * dim + j, and the terms, argsorted by those keys,
-        must equal the slice of pr[r] in keys, coefficients and number.
-        One diagram's terms at a time: no dim x dim matrix and no global
-        sort.
+        order, where M_(pr[r]) is not M_r^T, and the number of diagrams
+        compared.  Each key j * dim + t of M_r is read as t * dim + j,
+        and the terms, argsorted by those keys, must equal the slice of
+        pr[r] in keys, coefficients and number.  One diagram's terms at
+        a time: no dim x dim matrix and no global sort.
         """
         import numpy as np
         dim, ptr, key, coeff = self.ctx.dim, self.ptr, self.key, self.coeff
-        bad = []
+        bad, compared = [], 0
         for r in range(dim):
             seg = slice(ptr[r * dim], ptr[r * dim + dim])
             img = slice(ptr[pr[r] * dim], ptr[pr[r] * dim + dim])
@@ -464,7 +451,8 @@ class StructureTable:
             if not (np.array_equal(flipped[order], key[img])
                     and np.array_equal(coeff[seg][order], coeff[img])):
                 bad.append(r)
-        return np.array(bad, dtype=np.int64)
+            compared += 1
+        return np.array(bad, dtype=np.int64), compared
 
     def __eq__(self, other):
         import numpy as np
@@ -699,210 +687,26 @@ def build_table(ctx):
     return StructureTable(ctx, ptr, key, coeff)
 
 
-def _pieri_apply(ctx):
-    """The map (r, X, peak) -> P_r @ X on int64 matrices of dim rows.
+def verify_commutativity(ctx, table, samples=50, seed=DEFAULT_SEED):
+    """Giambelli products both ways round against the table.
 
-    Column j of P_r is quantum_pieri_product(r, basis[j]); row t of
-    P_r @ X is the sum of the rows j of X whose Pieri row holds t, so
-    the integer sums are those of quantum_pieri_product.  Each column
-    of X is mapped on its own, so X may be any block of columns.  peak
-    is the largest magnitude in X, which the caller already holds;
-    raises OverflowError where a result could wrap around.
+    On `samples` distinct seeded pairs of diagrams (all, where there are
+    fewer), each factor's determinant is expanded (_product_via_giambelli,
+    the path of mul and gw) and held to the stored order it leads.  A
+    pair gets a failure record where its two expansions differ, and one
+    for each stored order that differs from its expansion.
     """
-    import numpy as np
-    dim = ctx.dim
-    ops = {}
-    for r in range(1, ctx.k + 1):
-        rows = [_pieri_row(ctx, r, j) for j in range(dim)]
-        src = np.repeat(np.arange(dim), [len(row) for row in rows])
-        tgt = np.array([t for row in rows for t in row], dtype=np.int64)
-        order = np.argsort(tgt, kind="stable")
-        src, tgt = src[order], tgt[order]
-        starts = np.flatnonzero(np.r_[True, tgt[1:] != tgt[:-1]])
-        fan_in = int(np.diff(np.r_[starts, len(tgt)]).max())
-        ops[r] = (src, tgt[starts], starts, fan_in)
-
-    def apply(r, x, peak):
-        src, hit, starts, fan_in = ops[r]
-        if fan_in * peak >= _INT64_BOUND:
-            raise OverflowError("Pieri product exceeds the int64 range")
-        out = np.zeros_like(x)
-        out[hit] = np.add.reduceat(x[src], starts, axis=0)
-        return out
-
-    return apply
-
-
-# columns of the identity passed through the Giambelli prefix trie at
-# once; L live prefixes then hold at most L * dim * 64 * 8 bytes.  At
-# G(6,12), building the table and running the suite peaked at 244 MB in
-# 31.6 s with 64 columns and at 374 MB in 49.7 s with 256 (one run
-# each); at G(4,9) the suite takes about as long as with whole columns
-_GIAMBELLI_BLOCK = 64
-
-
-def _giambelli_matrices(ctx, apply):
-    """Yield (lo, rank, G, live) for every block and diagram.
-
-    G is the block of columns lo:lo + w of the diagram's Giambelli
-    matrix, whose column j is _product_via_giambelli(ctx, rank, j): the
-    determinant expanded once for all the block's columns.  The blocks
-    are the columns of the identity in runs of w = _GIAMBELLI_BLOCK, the
-    last one shorter where w does not divide dim, and within a block
-    the diagrams come in basis order.  live is the number of prefix
-    matrices held once G is summed.
-
-    The matrix P_{r_m} ... P_{r_1} of each row monomial is memoized and
-    built from its prefix's, rows applied first row first as in
-    _product_via_giambelli, so no step assumes that the Pieri matrices
-    commute.  A first pass replays the memo lookups on the row tuples
-    alone and records the last rank that reads each prefix, as its own
-    monomial or as the prefix a missing one is built from; each block's
-    matrix pass drops each prefix once that rank's G is summed.  Every
-    lookup then finds what it would find with nothing dropped, so each
-    block makes the same dim - 1 Pieri applies in the same order, and
-    only the prefixes still to be read stay alive: L of them hold at
-    most L * dim * w * 8 bytes.  apply is the oracle's Pieri operators,
-    _pieri_apply(ctx); the expansions and the replay are computed once
-    for all blocks.
-    """
-    import numpy as np
-    expansions = [giambelli_expand(lam, ctx.k) for lam in ctx.basis]
-    # each missing prefix is built from the longest memoized one, which
-    # the replay finds among the prefixes it has seen
-    last = {(): 0}
-    for rank, expansion in enumerate(expansions):
-        for _, rows in expansion:
-            short = len(rows)
-            while rows[:short] not in last:
-                short -= 1
-            for end in range(short, len(rows) + 1):
-                last[rows[:end]] = rank
-    expired = [[] for _ in expansions]
-    for prefix, rank in last.items():
-        expired[rank].append(prefix)
-
-    # not recursive: a closure that calls itself is a reference cycle,
-    # which would keep a block's memo alive until the cyclic collector
-    # runs
-    def monomial(memo, rows):
-        short = len(rows)
-        while rows[:short] not in memo:
-            short -= 1
-        for end in range(short + 1, len(rows) + 1):
-            mat = apply(rows[end - 1], *memo[rows[:end - 1]])
-            memo[rows[:end]] = (mat, int(np.abs(mat).max()))
-        return memo[rows]
-
-    def expand(memo, width, lam, expansion):
-        terms = [(coeff, monomial(memo, rows)) for coeff, rows in expansion]
-        if sum(abs(c) * peak for c, (_, peak) in terms) >= _INT64_BOUND:
-            raise OverflowError(f"Giambelli matrix of {lam} exceeds the "
-                                "int64 range")
-        g = np.zeros((ctx.dim, width), dtype=np.int64)
-        for coeff, (mat, _) in terms:
-            if coeff == 1:
-                g += mat
-            elif coeff == -1:
-                g -= mat
-            else:
-                g += coeff * mat
-        return g
-
-    for lo in range(0, ctx.dim, _GIAMBELLI_BLOCK):
-        width = min(_GIAMBELLI_BLOCK, ctx.dim - lo)
-        memo = {(): (np.eye(ctx.dim, width, -lo, dtype=np.int64), 1)}
-        for rank, (lam, expansion) in enumerate(zip(ctx.basis, expansions)):
-            # the helper's frame holds the terms, so they are gone on
-            # return
-            g = expand(memo, width, lam, expansion)
-            live = len(memo)
-            for prefix in expired[rank]:
-                del memo[prefix]
-            yield lo, rank, g, live
-
-
-def _pieri_commutators(ctx, apply):
-    """Failure records of the row pairs r < s where P_r P_s != P_s P_r.
-
-    P_r are the oracle's own Pieri operators, apply = _pieri_apply(ctx),
-    applied to the columns of the identity in blocks of
-    _GIAMBELLI_BLOCK.  A record names the row classes (r) and (s), the
-    first column basis[j] where the two orders differ, and both images
-    of it: lhs is P_r P_s basis[j] and rhs is P_s P_r basis[j].  Returns
-    (the pairs compared in at least one block, records).
-    """
-    import numpy as np
-    dim, rows = ctx.dim, range(1, ctx.k + 1)
-    pairs = [(r, s) for r in rows for s in rows if r < s]
-    if not pairs:
-        return 0, []
-    compared, first = set(), {}
-    for lo in range(0, dim, _GIAMBELLI_BLOCK):
-        eye = np.eye(dim, min(_GIAMBELLI_BLOCK, dim - lo), -lo,
-                     dtype=np.int64)
-        once = {r: apply(r, eye, 1) for r in rows}
-        peak = {r: int(np.abs(x).max(initial=0)) for r, x in once.items()}
-        for r, s in pairs:
-            if (r, s) in first:
-                continue
-            rs = apply(r, once[s], peak[s])
-            sr = apply(s, once[r], peak[r])
-            compared.add((r, s))
-            diff = np.flatnonzero((rs != sr).any(axis=0))
-            if diff.size:
-                j = int(diff[0])
-                first[r, s] = (lo + j, rs[:, j], sr[:, j])
-
-    def terms(col):
-        return terms_json(CohomClass(ctx, dict(enumerate(col.tolist()))))
-
-    return len(compared), [{"rows": [[r], [s]],
-                            "column": list(trim(ctx.basis[j])),
-                            "lhs": terms(rs), "rhs": terms(sr)}
-                           for (r, s), (j, rs, sr) in sorted(first.items())]
-
-
-def verify_commutativity(ctx, table):
-    """Compute each basis product both ways and compare.
-
-    The two orientations expand different factors through the
-    determinant, so they exercise genuinely different code paths.  Each
-    diagram's expansion runs once per block of columns
-    (_giambelli_matrices), and each block must equal the same columns
-    of the diagram's multiplication matrix in the table.  The table
-    stores both orders of every pair, and each order is held to the
-    expansion of its first factor.  Only pairs that disagree are
-    recomputed per pair, to write their failure records: one for two
-    orientations that differ, one for each order whose stored product
-    differs from its expansion.
-
-    A table that passes has every M_lam equal to G_lam(P), the Giambelli
-    polynomial of lam in the oracle's Pieri operators P_r.  The suite
-    also checks that the P_r commute, P_r P_s = P_s P_r for every r < s
-    (_pieri_commutators), with one record, after the pair records, for
-    each pair of rows that does not.  With G_lam e_0 = e_lam, the unit's
-    column (verify_giambelli), this makes the table multiplicative,
-    M_(C D) = M_C M_D for all classes, which verify_positivity builds
-    on.  The report's stats give the blocks, the most prefix matrices
-    held at once and the pairs of rows whose commutator was compared.
-    """
-    import numpy as np
-    apply = _pieri_apply(ctx)
-    suspects = set()
-    peak = 0
-    for lo, ra, g, live in _giambelli_matrices(ctx, apply):
-        hi = lo + g.shape[1]
-        diff = (g != table.basis_columns(ra, lo, hi)).any(axis=0)
-        suspects.update((min(ra, rb), max(ra, rb))
-                        for rb in (lo + np.flatnonzero(diff)).tolist())
-        peak = max(peak, live)
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < min(samples, ctx.dim * (ctx.dim + 1) // 2):
+        pairs.add(tuple(sorted((rng.randrange(ctx.dim),
+                                rng.randrange(ctx.dim)))))
 
     def names(*ranks):
         return [list(trim(ctx.basis[r])) for r in ranks]
 
     failures = []
-    for ra, rb in sorted(suspects):
+    for ra, rb in sorted(pairs):
         ab = _product_via_giambelli(ctx, ra, rb)
         ba = _product_via_giambelli(ctx, rb, ra)
         if ab != ba:
@@ -917,16 +721,7 @@ def verify_commutativity(ctx, table):
                                  "giambelli": terms_json(
                                      CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
-    commutators, records = _pieri_commutators(ctx, apply)
-    failures += records
-    width = min(_GIAMBELLI_BLOCK, ctx.dim)
-    blocks = -(-ctx.dim // width)
-    held = peak * ctx.dim * width * 8 / 2 ** 20
-    stats = [f"commutativity blocks {blocks} x {width} columns, peak "
-             f"{peak} live prefixes ({held:.1f} MB)",
-             f"commutativity Pieri commutators {commutators}"]
-    return VerifyReport("commutativity", ctx.k, ctx.n,
-                        ctx.dim * (ctx.dim + 1) // 2, failures, stats=stats)
+    return VerifyReport("commutativity", ctx.k, ctx.n, len(pairs), failures)
 
 
 def _seeded_triples(ctx, samples, seed):
@@ -1040,14 +835,28 @@ def verify_grading(ctx, table):
 
 
 def verify_pieri_consistency(ctx):
-    """Degree-preserving part of each row product vs strip enumeration."""
+    """Each scalar Pieri row against the array rule and the strips.
+
+    Row j of (r) from _pieri_row, the path of mul and gw, must hold the
+    ranks of row j of _pieri_matrix, the table's M_(r), and its
+    degree-preserving part must be the horizontal strips of classical
+    Pieri.  With verify_giambelli and the certificate, every Giambelli
+    product then equals the certified table.
+    """
     failures = []
     checked = 0
-    for lam in ctx.basis:
+    for rank, lam in enumerate(ctx.basis):
         a = basis_class(ctx, lam)
         for r in range(1, ctx.k + 1):
             checked += 1
             quantum = quantum_pieri_product(r, a)
+            ptr, targets = _pieri_matrix(ctx, r)
+            array = targets[ptr[rank]:ptr[rank + 1]].tolist()
+            if list(_pieri_row(ctx, r, rank)) != array:
+                failures.append({"lam": list(trim(lam)), "r": r,
+                                 "scalar": terms_json(quantum),
+                                 "array": terms_json(CohomClass(
+                                     ctx, dict.fromkeys(array, 1)))})
             top = quantum.homogeneous_part(degree(lam) + r)
             strips = classical_pieri(lam, r, ctx)
             if top != strips:

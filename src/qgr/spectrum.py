@@ -21,9 +21,10 @@ is positive semidefinite with real non-negative values, and that C
 and bar(C) vanish at the same points.  As bar is conjugation,
 multiplication by bar(lam) is the transpose of multiplication by lam
 for every diagram, M_(bar lam) = M_lam^T; this is checked exactly,
-once for the whole table.  With the multiplicativity the ring suites
-check, it makes the matrix of C * bar(C) the Gram matrix M_C M_C^T
-for every integer class C, so no matrix is judged by a float gate.
+once for the whole table.  The same closed form, reduced mod primes,
+proves the table exact (verify_certificate), which makes the matrix of
+C * bar(C) the Gram matrix M_C M_C^T for every integer class C, so no
+matrix is judged by a float gate.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import combinations
 import numpy as np
 
 from .classical import CohomClass, rank_map, terms_json
-from .partitions import bar_involution, degree, format_partition, trim
+from .partitions import bar_involution, format_partition, trim
 from .quantum import DEFAULT_SEED, _pieri_matrix
 from .reports import VerifyReport
 
@@ -106,65 +107,79 @@ class SpectralData:
     points: tuple
 
 
-def _complete(x, top):
+def _complete(x, top, p=None):
     """h_0..h_top of the variables in each row of x, one row per point.
 
     Expands prod(1 + x_j t) into e_1..e_m, then solves
-    sum_i (-1)^i e_i h_(r-i) = 0 for h_r degree by degree.
+    sum_i (-1)^i e_i h_(r-i) = 0 for h_r degree by degree: over C, or
+    over F_p when p is given and x holds residues mod p, every entry
+    then reduced into 0..p-1.
     """
     points, m = x.shape
-    e = np.zeros((points, m + 1), dtype=np.complex128)
+    e = np.zeros((points, m + 1), dtype=x.dtype)
     e[:, 0] = 1
     for j in range(m):
         e[:, 1:j + 2] += x[:, j, None] * e[:, :j + 1]
-    signed = e[:, 1:] * (-1.0) ** np.arange(m)     # (-1)^(i-1) e_i
-    h = np.zeros((points, top + 1), dtype=np.complex128)
+        if p is not None:
+            e[:, 1:j + 2] %= p
+    signed = e[:, 1:] * (-1) ** np.arange(m)        # (-1)^(i-1) e_i
+    h = np.zeros((points, top + 1), dtype=x.dtype)
     h[:, 0] = 1
     for r in range(1, top + 1):
         i = min(r, m)
         h[:, r] = (signed[:, :i] * h[:, r - 1::-1][:, :i]).sum(axis=1)
+        if p is not None:
+            h[:, r] %= p
     return h
 
 
-def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
-    """The binomial(n, k) points of the spectrum, in closed form.
+def _closed_form(ctx):
+    """The set-up that both arithmetics of the characters share.
 
-    Points are the l-subsets S of range(n) in itertools.combinations
-    order.  As h_r(x_S) = (-1)^r e_r(x_C) for r < n, with C the
-    complement of S, s_lam(x_S) = (-1)^|lam| s_lam'(x_C).  Values are
-    Jacobi-Trudi determinants det(h_(mu_i - i + j)) over the smaller of
-    S and C, min(k, l) square, one diagram at a time over all points.
-    Each point's residual is the larger of |X_S(unit) - 1| and
-    max_r |X_S P_r - X_S((r)) X_S| / |X_S|, with P_r the quantum Pieri
-    matrix of the row class (r): the residual of X_S as a unit left
-    eigenvector of every P_r.  As the row classes generate the ring, a
-    residual of zero makes X_S a ring character.
-    Raises DegenerateSpectrum when the worst residual is not within
-    residual_tol (NaN included), or when two points agree within
-    SEPARATION_TOL on min(k, l) generating classes.
+    Returns (subsets, turns, idx, flip): the l-subsets S of range(n) in
+    combinations order; per point, the exponents 2j + l - 1 mod 2n of a
+    primitive 2n-th root of unity that give its variables, over S or,
+    when k <= l, over its complement C, as s_lam(x_S) =
+    (-1)^|lam| s_lam'(x_C); and per diagram, the Jacobi-Trudi indices
+    into h_0..h_(n-1), n standing for h of negative degree, 0, and
+    whether to negate the determinant.
     """
-    k, l, n, dim = ctx.k, ctx.l, ctx.n, ctx.dim
+    k, l, n = ctx.k, ctx.l, ctx.n
     subsets = list(combinations(range(n), l))
     on_complement = k <= l
     side = ([sorted(set(range(n)).difference(s)) for s in subsets]
             if on_complement else subsets)
     # reduce the angle mod 2 pi in integers before scaling by pi / n
     turns = (2 * np.array(side, dtype=np.int64) + l - 1) % (2 * n)
-    h = _complete(np.exp(1j * np.pi / n * turns), n - 1)
-    h = np.concatenate([h, np.zeros((len(subsets), 1))], axis=1)
     m = min(k, l)
     steps = np.arange(m)[None, :] - np.arange(m)[:, None]    # j - i
-    chars = np.empty((len(subsets), dim), dtype=np.complex128)
-    for rank, lam in enumerate(ctx.basis):
-        # mu is lam over S, its transpose (k parts) over C
-        mu = [sum(p > i for p in lam) for i in range(k)] \
-            if on_complement else lam
-        idx = np.array(mu)[:, None] + steps
-        idx[idx < 0] = n                   # column n holds h_(<0) = 0
-        value = np.linalg.det(h[:, idx])
-        flip = on_complement and degree(lam) % 2
-        chars[:, rank] = -value if flip else value
+    lam = np.array(ctx.basis, dtype=np.int64).reshape(ctx.dim, l)
+    # mu is lam over S, its transpose (k parts) over C
+    mu = (lam[:, :, None] > np.arange(k)).sum(axis=1) if on_complement \
+        else lam
+    idx = mu[:, :, None] + steps
+    idx[idx < 0] = n
+    return subsets, turns, idx, on_complement & (lam.sum(axis=1) % 2 == 1)
 
+
+def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
+    """The binomial(n, k) points of the spectrum, in closed form.
+
+    Points are the l-subsets S of range(n) in itertools.combinations
+    order, and values the Jacobi-Trudi determinants of _closed_form.
+    Each point's residual is the larger of |X_S(unit) - 1| and
+    max_r |X_S P_r - X_S((r)) X_S| / |X_S|, with P_r the quantum Pieri
+    matrix of the row class (r): the residual of X_S as a unit left
+    eigenvector of every P_r.  As the row classes generate the ring, a
+    residual of zero makes X_S a ring character.  Raises
+    DegenerateSpectrum when the worst residual is not within
+    residual_tol (NaN included), or when two points agree within
+    SEPARATION_TOL on min(k, l) generating classes.
+    """
+    k, l, n, dim = ctx.k, ctx.l, ctx.n, ctx.dim
+    subsets, turns, idx, flip = _closed_form(ctx)
+    h = _complete(np.exp(1j * np.pi / n * turns), n - 1)
+    chars = _jacobi_trudi(h, idx, flip, np.linalg.det, np.negative)
     residual = np.abs(chars[:, 0] - 1)
     norms = np.linalg.norm(chars, axis=1)
     row_ranks = [ctx.rank((r,) + (0,) * (l - 1)) for r in range(1, k + 1)]
@@ -185,7 +200,7 @@ def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
             f"closed-form characters of {ctx} fail the Pieri certificate: "
             f"residual {worst:.3e} above {residual_tol:.3e}")
     # the values of m generating classes determine a character
-    gens = (row_ranks if on_complement else
+    gens = (row_ranks if k <= l else
             [ctx.rank((1,) * r + (0,) * (l - r)) for r in range(1, l + 1)])
     keys = chars[:, gens]
     gap = min((float(np.abs(keys[i + 1:] - keys[i]).max(axis=1).min())
@@ -199,6 +214,192 @@ def joint_eigenbasis(ctx, residual_tol=RESIDUAL_TOL):
                       float(residual[i]))
         for i, s in enumerate(subsets))
     return SpectralData(ctx, chars, points)
+
+
+# bytes of Jacobi-Trudi matrices per chunk of diagrams in _jacobi_trudi
+_CHUNK_BYTES = 2 ** 17
+
+
+def _det_mod(a, p):
+    """Determinants over F_p of a count x m x m stack of residues.
+
+    a is overwritten.  Each row below the pivot becomes piv * row minus
+    a multiple of the pivot row, which multiplies the determinant by
+    piv; den collects those factors, inverted at the end by the Fermat
+    power den^(p-2).  A zero pivot leaves num and den 0."""
+    count, m, _ = a.shape
+    num = np.ones(count, dtype=np.int64)
+    den = np.ones(count, dtype=np.int64)
+    pivots = np.ones(count, dtype=np.int64)     # the pivots so far
+    for c in range(m - 1):
+        r = c + (a[:, c:, c] != 0).argmax(axis=1)
+        swap = np.flatnonzero(r != c)
+        a[swap, c], a[swap, r[swap]] = a[swap, r[swap]], a[swap, c]
+        num[swap] = p - num[swap]
+        piv = a[:, c, c].copy()
+        a[:, c + 1:, c + 1:] = (piv[:, None, None] * a[:, c + 1:, c + 1:]
+                                - a[:, c + 1:, c, None]
+                                * a[:, c, None, c + 1:]) % p
+        # row c + 1 onwards carry every pivot up to c once more
+        pivots = pivots * piv % p
+        num = num * piv % p
+        den = den * pivots % p
+    num = num * a[:, m - 1, m - 1] % p
+    for bit in bin(p - 2)[:1:-1]:       # square and multiply
+        num = num * den % p if bit == "1" else num
+        den = den * den % p
+    return num
+
+
+def _jacobi_trudi(h, idx, flip, det, negate):
+    """Values of every diagram at every point, from h_0..h_(n-1) of each
+    point and the Jacobi-Trudi set-up of _closed_form, in either
+    arithmetic: det and negate act on arrays of it.  The determinants
+    run over chunks of diagrams of about _CHUNK_BYTES."""
+    points, m = len(h), idx.shape[1]
+    h = np.concatenate([h, np.zeros((points, 1), h.dtype)], axis=1)
+    out = np.empty((points, len(idx)), dtype=h.dtype)
+    step = max(1, _CHUNK_BYTES // (h.itemsize * points * m * m))
+    for lo in range(0, len(idx), step):
+        value = det(h[:, idx[lo:lo + step]].reshape(-1, m, m))
+        value = value.reshape(points, -1)
+        out[:, lo:lo + step] = np.where(flip[lo:lo + step], negate(value),
+                                        value)
+    return out
+
+
+def characters_mod(ctx, p, root):
+    """X_p[S, lam] = s_lam(x_S) mod p, a points x dim int64 array, for
+    x_j = root^(2j + l - 1) with root a primitive 2n-th root of unity
+    mod p: the points of joint_eigenbasis, reduced mod a prime above p.
+    """
+    _, turns, idx, flip = _closed_form(ctx)
+    powers = np.array([pow(root, e, p) for e in range(2 * ctx.n)])
+    return _jacobi_trudi(_complete(powers[turns], ctx.n - 1, p), idx, flip,
+                         lambda a: _det_mod(a, p), lambda v: (p - v) % p)
+
+
+def certificate_primes(n, points, above):
+    """(primes, roots): primes p = 1 mod 2n, largest first, until their
+    product exceeds `above`, and a primitive 2n-th root of unity mod
+    each.  As p^2 * points < 2^53, a sum of `points` products of two
+    residues is exact in float64."""
+    from math import isqrt
+    p = isqrt((2 ** 53 - 1) // points)
+    p -= (p - 1) % (2 * n)
+    primes, roots, product = [], [], 1
+    while product <= above:
+        if p <= 2 * n:
+            raise OverflowError(f"no float-exact prime 1 mod {2 * n} left")
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            roots.append(next(z for z in (pow(a, (p - 1) // (2 * n), p)
+                                          for a in range(2, p))
+                              if len({pow(z, e, p) for e in range(2 * n)})
+                              == 2 * n))
+            primes.append(p)
+            product *= p
+        p -= 2 * n
+    return primes, roots
+
+
+def totally_positive_values(ctx):
+    """Each diagram's character at the totally positive point, in floats.
+
+    At S_0 = {0, k+1, ..., n-1} the variables are exp(i pi m / n) for
+    m = 1 - l, 3 - l, ..., l - 1, so by the q-hook-content formula
+    s_lam(x_S0) is the product over the cells of lam of
+    sin(pi (l + c) / n) / sin(pi h / n), c the content and h the hook
+    length: the phases cancel, and every factor is positive, as
+    1 <= l + c, h <= n - 1.
+    """
+    k, l, n = ctx.k, ctx.l, ctx.n
+    lam = np.array(ctx.basis).reshape(ctx.dim, l)
+    i, j = np.arange(l)[:, None], np.arange(k)[None, :]
+    cells = lam[:, :, None] > j                         # dim x l x k
+    cols = cells.sum(axis=1)                            # the transposes
+    # outside the cells, hook 1 keeps the quotient finite
+    hook = np.where(cells, lam[:, :, None] - j + cols[:, None, :] - i - 1, 1)
+    factor = np.sin(np.pi * (l + j - i) / n) / np.sin(np.pi * hook / n)
+    return np.where(cells, factor, 1.0).prod(axis=(1, 2))
+
+
+def verify_certificate(ctx, table, seed=DEFAULT_SEED):
+    """Every stored structure constant is the true one, over Z.
+
+    The true constants satisfy sum_nu N_(lam mu)^nu X[S, nu] =
+    X[S, lam] X[S, mu] at each point S, as the closed-form characters
+    are those of the ring (Siebert-Tian; Rietsch); so also mod p, for
+    X_p = characters_mod.  Where X_p is invertible mod p, that fixes
+    every constant mod p.
+
+    The bound.  True constants are Gromov-Witten invariants, at least 0,
+    and the character X_0 at the totally positive point is positive on
+    every diagram (totally_positive_values), so X_0(lam) X_0(mu) =
+    sum_nu N_(lam mu)^nu X_0(nu) >= N_(lam mu)^nu min X_0: no true
+    constant exceeds B = max X_0^2 / min X_0, computed with a relative
+    margin of 1e-9 and rounded down.  The primes' product exceeds B
+    plus the largest stored magnitude, so agreement mod each prime is
+    equality over Z.
+
+    At each prime runs Freivalds' check (1977), one diagram's slice of
+    the table at a time: for seeded weights w over the points and
+    y = w^T X_p, every ordered pair must have sum_nu N^nu y_nu =
+    (X_p^T diag(w) X_p)[lam, mu] mod p.  A pair that fails at some point
+    passes a draw with probability 1/p, and the draws make that at most
+    2^-40.  Once every pair holds, each row of X_p is a homomorphism
+    from the table's algebra over F_p, and distinct nonzero ones are
+    linearly independent (Dedekind): the rank of X_p is the number of
+    distinct nonzero rows.  A failure names the ordered pair and its
+    stored terms, or a prime where X_p is singular; the report records
+    the primes, B and the draws.
+    """
+    dim = ctx.dim
+    x0 = totally_positive_values(ctx)
+    bound = int(x0.max() ** 2 / x0.min() * (1 + 1e-9))
+    stored = max(int(table.coeff.max(initial=0)),
+                 -int(table.coeff.min(initial=0)))
+    primes, roots = certificate_primes(ctx.n, dim, stored + bound)
+    draws = -(-40 // (min(primes).bit_length() - 1))
+    rng = random.Random(seed)
+    failures, bad, ranks, compared = [], set(), [], []
+    for p, root in zip(primes, roots):
+        chars = characters_mod(ctx, p, root)
+        w = np.array([[rng.randrange(p) for _ in range(dim)]
+                      for _ in range(draws)], dtype=np.int64)
+        floats = chars.astype(np.float64)
+        y = (w.astype(np.float64) @ floats % p).astype(np.int64)
+        compared.append(0)
+        for r in range(dim):
+            seg = slice(table.ptr[r * dim], table.ptr[r * dim + dim])
+            j, t = np.divmod(table.key[seg], dim)
+            terms = table.coeff[seg].astype(np.int64) % p * y[:, t]
+            lhs = np.bincount((np.arange(draws)[:, None] * dim + j).ravel(),
+                              terms.ravel().astype(np.float64),
+                              draws * dim).reshape(draws, dim) % p
+            # row r of X_p^T diag(w) X_p per draw; the whole product
+            # would hold draws x dim^2 more floats
+            rhs = (w * chars[:, r] % p).astype(np.float64) @ floats % p
+            wrong = (lhs != rhs).any(axis=0)
+            compared[-1] += len(wrong)
+            bad.update((r, mu) for mu in np.flatnonzero(wrong).tolist())
+        # distinct nonzero rows, side by side in lexicographic order
+        rows = chars[np.lexsort(chars.T)]
+        fresh = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+        ranks.append(int((fresh & rows.any(axis=1)).sum()))
+        if ranks[-1] < dim:
+            failures.append({"prime": p, "rank": ranks[-1],
+                             "problem": "X_p is singular"})
+    names = [list(trim(lam)) for lam in ctx.basis]
+    failures += [{"pair": [names[r], names[mu]],
+                  "table": terms_json(CohomClass(
+                      ctx, dict(table.product_ranks(r, mu))))}
+                 for r, mu in sorted(bad, key=lambda e: (names[e[0]],
+                                                         names[e[1]]))]
+    return VerifyReport("certificate", ctx.k, ctx.n, dim * dim, failures,
+                        extra={"primes": primes, "bound": bound,
+                               "draws": draws},
+                        stats=[f"certificate compared {min(compared)} "
+                               f"pairs, rank {min(ranks)}"])
 
 
 def evaluate(a, spectral):
@@ -255,24 +456,14 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     class by class.  The transpose identity M_(bar lam) = M_lam^T is
     checked here for every diagram, as one relabel of the table
     (StructureTable.transpose_mismatches), and each diagram that fails
-    it gets a record naming lam and bar(lam).  Three premises come from
-    the ring suites:
-      (a) the oracle's Pieri operators commute, P_r P_s = P_s P_r
-          (verify_commutativity);
-      (b) M_lam = G_lam(P), the Giambelli polynomial of lam in the P_r,
-          for every diagram (verify_commutativity);
-      (c) G_lam e_0 = e_lam, with e_0 the unit's column
-          (verify_giambelli).
-    By (a) and (b) every M_lam lies in the commutative algebra the P_r
-    generate, and by (b) and (c) M_lam e_0 = e_lam, so an element X of
-    that algebra is fixed by X e_0: X e_lam = G_lam(P) X e_0.  Both
-    M_lam M_mu and sum_nu N_(lam mu)^nu M_nu send e_0 to column mu of
-    M_lam, so they are equal, and M_(C D) = M_C M_D for all classes.
-    By linearity M_(bar C) = M_C^T, so M_(C bar C) = M_C M_C^T is a Gram
-    matrix, symmetric and positive semidefinite, for every integer class
-    C.  verify --suite spectrum alone checks the identity and the point
-    values; the Gram identity for every class needs the ring suites of
-    --suite all as well.
+    it gets a record naming lam and bar(lam).  One premise comes from
+    the ring suites: the certificate (verify_certificate), which proves
+    the table equal to the true constants, so M_(C D) = M_C M_D for all
+    classes.  By linearity M_(bar C) = M_C^T, so M_(C bar C) = M_C M_C^T
+    is a Gram matrix, symmetric and positive semidefinite, for every
+    integer class C.  verify --suite spectrum alone checks the identity
+    and the point values; the Gram identity for every class needs the
+    certificate of --suite all as well.
 
     Per class, only the coordinates v of the product are computed: M_C
     from mult_matrix applied to the coordinates of bar(C).  Every
@@ -286,10 +477,11 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
     """
     dim = ctx.dim
     bar_rank = rank_map(ctx, partial(bar_involution, k=ctx.k))
+    mismatched, compared = table.transpose_mismatches(bar_rank)
     failures = [{"lam": list(trim(ctx.basis[r])),
                  "bar": list(trim(ctx.basis[bar_rank[r]])),
                  "problem": "M_bar is not the transpose of M_lam"}
-                for r in table.transpose_mismatches(bar_rank).tolist()]
+                for r in mismatched.tolist()]
     failures.sort(key=lambda f: f["lam"])
     vecs = np.zeros((len(classes), dim), dtype=np.int64)
     for i, c in enumerate(classes):
@@ -322,8 +514,8 @@ def verify_positivity(ctx, classes, spectral, table, tol=RESIDUAL_TOL):
             failures.append({"class_index": i, "terms": terms_json(c),
                              "issues": found})
     return VerifyReport("positivity", ctx.k, ctx.n, len(classes), failures,
-                        stats=[f"positivity transpose identity on {dim} "
-                               f"diagrams"])
+                        stats=[f"positivity transpose identity on "
+                               f"{compared} diagrams"])
 
 
 def verify_vanishing(ctx, classes, spectral):

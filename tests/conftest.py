@@ -75,16 +75,24 @@ def with_terms(table, changes):
     dim = table.ctx.dim
     changed = {}
     for (ra, rb, target), delta in changes.items():
-        terms = changed.setdefault((ra, rb), dict(table.product_ranks(ra, rb)))
+        terms = changed.setdefault(ra * dim + rb,
+                                   dict(table.product_ranks(ra, rb)))
         terms[target] = terms.get(target, 0) + delta
-    ptr, key, coeff = [0], [], []
-    for ra in range(dim):
-        for rb in range(dim):
-            terms = changed.get((ra, rb), dict(table.product_ranks(ra, rb)))
-            items = sorted((t, c) for t, c in terms.items() if c)
-            key += [rb * dim + t for t, _ in items]
-            coeff += [c for _, c in items]
-            ptr.append(len(key))
-    return StructureTable(table.ctx, np.array(ptr, dtype=np.int64),
-                          np.array(key, dtype=table.key.dtype),
-                          np.array(coeff, dtype=table.coeff.dtype))
+    counts = np.diff(table.ptr)
+    # the stored terms of the unchanged pairs between changed ones, and
+    # the new terms of each changed pair, in pair order
+    keys, coeffs, start = [], [], 0
+    for pair in sorted(changed):
+        items = sorted((t, c) for t, c in changed[pair].items() if c)
+        keys += [table.key[start:table.ptr[pair]],
+                 [pair % dim * dim + t for t, _ in items]]
+        coeffs += [table.coeff[start:table.ptr[pair]], [c for _, c in items]]
+        counts[pair] = len(items)
+        start = table.ptr[pair + 1]
+    keys.append(table.key[start:])
+    coeffs.append(table.coeff[start:])
+    ptr = np.zeros(dim * dim + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return StructureTable(table.ctx, ptr,
+                          np.concatenate(keys).astype(table.key.dtype),
+                          np.concatenate(coeffs).astype(table.coeff.dtype))

@@ -183,7 +183,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 RING_SUITES = ("verify_commutativity", "verify_associativity",
                "verify_grading", "verify_pieri_consistency",
-               "verify_giambelli", "verify_cyclic")
+               "verify_giambelli", "verify_cyclic", "verify_certificate")
 INVOLUTION_SUITES = ("verify_involution_factorization",
                      "verify_product_automorphism",
                      "verify_duality_identities",
@@ -417,16 +417,15 @@ class TestVerifyStats:
         assert lines[-1].endswith(" MB main")
 
 
-    def test_commutativity_blocks_and_cache_entries(self, capsys):
+    def test_certificate_stats_and_cache_entries(self, capsys):
         plain = run(capsys, "verify", "--k", "4", "--n", "9", "--suite",
                     "ring")
         code, out, err = run(capsys, "verify", "--k", "4", "--n", "9",
                              "--suite", "ring", "--stats")
         assert code == plain[0] == 0 and out == plain[1]
         lines = err.splitlines()
-        # dim 126: a block of 64 columns and one of 62
-        assert ("stats: commutativity blocks 2 x 64 columns, peak 18 live "
-                "prefixes (1.1 MB)") in lines
+        # every ordered pair of the 126 diagrams, and X_p of full rank
+        assert "stats: certificate compared 15876 pairs, rank 126" in lines
         ring = len(cli.quantum._RING_CACHE[(4, 9)])
         assert ring and lines[-2] == f"stats: cache entries ring {ring} main"
 

@@ -1,12 +1,10 @@
-import gc
 import itertools
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from qgr import classical, partitions, quantum
+from qgr import classical, partitions, quantum, spectrum
 from qgr.classical import (CohomClass, basis_class, class_from_parts,
                            classical_pieri, column_class, cup_product,
                            lr_coefficient, point_class, row_class,
@@ -14,13 +12,14 @@ from qgr.classical import (CohomClass, basis_class, class_from_parts,
 from qgr.partitions import (GrassmannContext, c_shift, degree,
                             poincare_dual, trim)
 from qgr.quantum import (DEFAULT_SEED, GWRecord, _basis_product,
-                         _giambelli_matrices, _product_via_giambelli,
-                         build_table, c_apply, giambelli_expand,
-                         gw_invariant, gw_record, quantum_pieri_invariant,
-                         quantum_pieri_product, quantum_product,
-                         verify_associativity, verify_commutativity,
-                         verify_cyclic, verify_giambelli, verify_grading,
+                         _product_via_giambelli, build_table, c_apply,
+                         giambelli_expand, gw_invariant, gw_record,
+                         quantum_pieri_invariant, quantum_pieri_product,
+                         quantum_product, verify_associativity,
+                         verify_commutativity, verify_cyclic,
+                         verify_giambelli, verify_grading,
                          verify_pieri_consistency)
+from qgr.spectrum import verify_certificate
 
 from conftest import all_contexts, with_extra_targets, with_terms
 
@@ -136,36 +135,6 @@ class TestGiambelli:
         for k, n in all_contexts(6):
             assert verify_giambelli(ctx_of(k, n)).ok
 
-    def test_batched_expansion_matches_per_pair(self, ctx_of, monkeypatch):
-        # (4, 8) has dim 70: a block of 64 columns and one of 6
-        for k, n in all_contexts(7) + [(4, 8)]:
-            ctx = ctx_of(k, n)
-            full = _giambelli_columns(ctx)
-            for ra in range(ctx.dim):
-                for rb in range(ctx.dim):
-                    column = {t: int(full[ra][t, rb]) for t in np.flatnonzero(
-                        full[ra][:, rb]).tolist()}
-                    assert column == _product_via_giambelli(ctx, ra, rb), \
-                        (k, n, ra, rb)
-            # narrower blocks, the last one partial where 4 does not
-            # divide dim, reassemble to the same matrices
-            with monkeypatch.context() as patch:
-                patch.setattr(quantum, "_GIAMBELLI_BLOCK", 4)
-                assert np.array_equal(_giambelli_columns(ctx), full), (k, n)
-
-
-def _giambelli_columns(ctx):
-    """Every diagram's Giambelli matrix, reassembled from its blocks."""
-    width = quantum._GIAMBELLI_BLOCK
-    blocks = list(_giambelli_matrices(ctx, quantum._pieri_apply(ctx)))
-    # block by block, the diagrams in basis order within each
-    assert [(lo, ra) for lo, ra, _, _ in blocks] == \
-        [(lo, ra) for lo in range(0, ctx.dim, width) for ra in range(ctx.dim)]
-    assert all(g.shape == (ctx.dim, min(width, ctx.dim - lo))
-               for lo, _, g, _ in blocks)
-    return np.stack([np.hstack([g for _, r, g, _ in blocks if r == ra])
-                     for ra in range(ctx.dim)])
-
 
 class TestQuantumProduct:
     def test_hook_squared_g24(self):
@@ -215,7 +184,11 @@ class TestQuantumProduct:
 class TestRingSuites:
     def test_commutativity_small(self, ctx_of, table_of):
         for k, n in all_contexts(6):
-            assert verify_commutativity(ctx_of(k, n), table=table_of(k, n)).ok
+            ctx = ctx_of(k, n)
+            # a sample as large as the basis pairs takes every one
+            report = verify_commutativity(ctx, table=table_of(k, n),
+                                          samples=ctx.dim ** 2)
+            assert report.ok and report.checked == ctx.dim * (ctx.dim + 1) // 2
 
     def test_associativity_small(self, ctx_of, table_of):
         for k, n in all_contexts(6):
@@ -262,11 +235,36 @@ class TestRingSuites:
                                     "giambelli": [{"p": [2, 1], "c": 1}]}]
         assert report.failures == _commutativity_reference(ctx, bad)
 
+    def test_commutativity_draws_distinct_seeded_pairs(self, ctx_of, table_of,
+                                                       monkeypatch):
+        ctx, table = ctx_of(4, 9), table_of(4, 9)
+        calls = []
+        expand = quantum._product_via_giambelli
+
+        def counted(ctx, ra, rb):
+            calls.append((ra, rb))
+            return expand(ctx, ra, rb)
+
+        monkeypatch.setattr(quantum, "_product_via_giambelli", counted)
+        drawn = []
+        for seed in (7, 7, 8):
+            calls.clear()
+            report = verify_commutativity(ctx, table=table, samples=30,
+                                          seed=seed)
+            assert report.ok and report.checked == 30
+            # each pair ra <= rb expanded both ways round, in turn
+            pairs = calls[::2]
+            assert calls[1::2] == [(rb, ra) for ra, rb in pairs]
+            assert len(set(pairs)) == 30 and all(a <= b for a, b in pairs)
+            drawn.append(pairs)
+        assert drawn[0] == drawn[1] != drawn[2]
+
 
 def _commutativity_reference(ctx, table):
     """Failures of verify_commutativity against a table, pair by pair.
 
-    The table is read in both orders of each pair.
+    Every pair, as a sample that holds them all; the table is read in
+    both orders of each pair.
     """
     failures = []
     for ra in range(ctx.dim):
@@ -289,28 +287,26 @@ def _commutativity_reference(ctx, table):
                         "table": terms_json(CohomClass(ctx, stored)),
                         "giambelli": terms_json(CohomClass(ctx, expanded))})
     failures.sort(key=lambda f: f["pair"])
-    return failures + _commutator_reference(ctx)
-
-
-def _commutator_reference(ctx):
-    """Commutator records of verify_commutativity, column by column.
-
-    P_r P_s basis[j] and P_s P_r basis[j] come from quantum_pieri_product,
-    the Python form of the rule; each pair of rows r < s reports its
-    first column where the two differ.
-    """
-    failures = []
-    for r, s in itertools.combinations(range(1, ctx.k + 1), 2):
-        for lam in ctx.basis:
-            e = basis_class(ctx, lam)
-            lhs = quantum_pieri_product(r, quantum_pieri_product(s, e))
-            rhs = quantum_pieri_product(s, quantum_pieri_product(r, e))
-            if lhs != rhs:
-                failures.append({"rows": [[r], [s]], "column": list(trim(lam)),
-                                 "lhs": terms_json(lhs),
-                                 "rhs": terms_json(rhs)})
-                break
     return failures
+
+
+def _changed_pairs(ctx, table, true):
+    """Ordered pairs of diagrams whose stored product is not the true one."""
+    return {(trim(ctx.basis[ra]), trim(ctx.basis[rb]))
+            for ra in range(ctx.dim) for rb in range(ctx.dim)
+            if table.product_ranks(ra, rb) != true.product_ranks(ra, rb)}
+
+
+def _named_pairs(report):
+    """The ordered pairs of diagrams a report's failures name."""
+    return {tuple(map(tuple, f["pair"])) for f in report.failures}
+
+
+def _scalar_rows(report):
+    """(diagram, r) of the pieri_consistency records of a scalar row that
+    is not the array row."""
+    return {(tuple(f["lam"]), f["r"]) for f in report.failures
+            if "scalar" in f}
 
 
 class TestCommutativityFailureRecords:
@@ -328,15 +324,17 @@ class TestCommutativityFailureRecords:
             with monkeypatch.context() as patch:
                 # only the Giambelli side sees the corrupted row
                 patch.setattr(quantum, "_pieri_row", corrupted)
-                report = verify_commutativity(ctx, table=table)
+                report = verify_commutativity(ctx, table=table,
+                                              samples=ctx.dim ** 2)
                 expected = _commutativity_reference(ctx, table)
+                pieri = verify_pieri_consistency(ctx)
             kinds = {tuple(sorted(f)) for f in expected}
             assert kinds == {("giambelli", "pair", "table"),
-                             ("lhs", "pair", "rhs"),
-                             ("column", "lhs", "rhs", "rows")}, (k, n)
+                             ("lhs", "pair", "rhs")}, (k, n)
             assert report.failures == expected, (k, n)
             assert report.checked == ctx.dim * (ctx.dim + 1) // 2
-
+            assert _scalar_rows(pieri) == {(trim(ctx.basis[3]), 1)}
+            assert verify_certificate(ctx, table=table).ok
 
     def test_noncommuting_pieri_rows_with_true_table(self, monkeypatch):
         pieri_row = quantum._pieri_row
@@ -353,38 +351,13 @@ class TestCommutativityFailureRecords:
             patch.setattr(quantum, "_pieri_row", corrupted)
             report = verify_commutativity(ctx, table=table)
             expected = _commutativity_reference(ctx, table)
-        assert report.failures == expected
-        # P_1 P_2 1 = (1) * (2), but P_2 P_1 1 = (2) * ((1) + (2,2))
-        assert [f for f in report.failures if "rows" in f] == [
-            {"rows": [[1], [2]], "column": [],
-             "lhs": [{"p": [2, 1], "c": 1}],
-             "rhs": [{"p": [1, 1], "c": 1}, {"p": [2, 1], "c": 1}]}]
-        assert report.stats[1] == "commutativity Pieri commutators 1"
-
-    def test_commutators_read_the_oracle_not_the_pieri_matrix(
-            self, ctx_of, table_of, monkeypatch):
-        pieri_matrix = quantum._pieri_matrix
-
-        def corrupted(ctx, r):
-            # (1) times the unit gains (2,2), in the array form only
-            matrix = pieri_matrix(ctx, r)
-            extra = {0: (ctx.rank((2, 2)),)}
-            return with_extra_targets(matrix, extra) if r == 1 else matrix
-
-        ctx, table = ctx_of(2, 4), table_of(2, 4)
-
-        def dense(r):
-            ptr, targets = quantum._pieri_matrix(ctx, r)
-            mat = np.zeros((ctx.dim, ctx.dim), dtype=np.int64)
-            mat[targets, np.repeat(np.arange(ctx.dim), np.diff(ptr))] = 1
-            return mat
-
-        monkeypatch.setattr(quantum, "_pieri_matrix", corrupted)
-        p1, p2 = dense(1), dense(2)
-        assert not np.array_equal(p1 @ p2, p2 @ p1)
-        report = verify_commutativity(ctx, table=table)
-        assert report.ok
-        assert report.stats[1] == "commutativity Pieri commutators 1"
+            pieri = verify_pieri_consistency(ctx)
+        assert expected and report.failures == expected
+        # the scalar row of the unit is no longer the array row
+        assert [f for f in pieri.failures if "scalar" in f] == [
+            {"lam": [], "r": 1,
+             "scalar": [{"p": [1], "c": 1}, {"p": [2, 2], "c": 1}],
+             "array": [{"p": [1], "c": 1}]}]
 
     def test_corrupted_pieri_matrix_reported_against_giambelli(
             self, monkeypatch):
@@ -401,8 +374,15 @@ class TestCommutativityFailureRecords:
         with monkeypatch.context() as patch:
             patch.setattr(quantum, "_pieri_matrix", corrupted)
             table = build_table(ctx)
-        assert table != build_table(ctx)
-        report = verify_commutativity(ctx, table=table)
+            pieri = verify_pieri_consistency(ctx)
+        true = build_table(ctx)
+        assert table != true
+        # the certificate names every pair the corruption changed
+        report = verify_certificate(ctx, table=table)
+        assert _named_pairs(report) == _changed_pairs(ctx, table, true)
+        # the scalar row of (2), which mul and gw read, is the true one
+        assert _scalar_rows(pieri) == {((2,), 1)}
+        report = verify_commutativity(ctx, table=table, samples=ctx.dim ** 2)
         expected = _commutativity_reference(ctx, table)
         assert {tuple(sorted(f)) for f in expected} == \
             {("giambelli", "pair", "table")}
@@ -437,112 +417,29 @@ class TestCommutativityFailureRecords:
         orbit = {ctx.rank(c_shift(ctx.basis[three], s, ctx.k, ctx.n))
                  for s in range(ctx.n)}
         assert len(orbit) == 4 and min(orbit) == three
-        report = verify_commutativity(ctx, table=table)
-        assert report.failures == _commutativity_reference(ctx, table)
-        firsts = {ctx.rank(ctx.validate(f["pair"][0]))
-                  for f in report.failures if "table" in f}
-        assert firsts == orbit
-
+        report = verify_certificate(ctx, table=table)
+        named = _named_pairs(report)
+        assert named == _changed_pairs(ctx, table, build_table(ctx))
+        assert {ctx.rank(ctx.validate(lam)) for lam, _ in named} == orbit
 
     def test_corrupted_entry_in_the_last_partial_block(self, ctx_of,
                                                         table_of):
-        # dim 126 at G(4,9): column blocks 0:64 and 64:126
+        # dim 126 at G(4,9) is not a multiple of the diagrams per chunk
+        # of the characters mod p, so the last chunk is partial; one
+        # corrupted pair lies in the last column, one in the last
+        # diagram's slice
         ctx, table = ctx_of(4, 9), table_of(4, 9)
-        assert ctx.dim % quantum._GIAMBELLI_BLOCK
+        per_chunk = spectrum._CHUNK_BYTES // (8 * ctx.dim * 4 * 4)
+        assert ctx.dim % per_chunk
         a, b = ctx.rank((2, 1, 0, 0, 0)), ctx.rank((3, 3, 1, 0, 0))
-        last, first = ctx.dim - 1, ctx.dim // quantum._GIAMBELLI_BLOCK \
-            * quantum._GIAMBELLI_BLOCK
+        last = ctx.dim - 1
         target = dict(table.product_ranks(a, last))
         bad = with_terms(table, {(a, last, min(target)): 1,
-                                 (b, first, 0): 1})
-        report = verify_commutativity(ctx, table=bad)
-        assert report.failures == _commutativity_reference(ctx, bad)
-        pairs = {tuple(map(tuple, f["pair"])) for f in report.failures
-                 if "table" in f}
-        assert pairs == {(tuple(trim(ctx.basis[a])),
-                          tuple(trim(ctx.basis[last]))),
-                         (tuple(trim(ctx.basis[b])),
-                          tuple(trim(ctx.basis[first])))}
-
-
-class TestCommutativityMemory:
-    def test_giambelli_memo_released_when_the_suite_returns(self, ctx_of,
-                                                             table_of):
-        ctx, table = ctx_of(4, 8), table_of(4, 8)
-        verify_commutativity(ctx, table=table)   # fill the lasting caches
-        block_bytes = 8 * ctx.dim * quantum._GIAMBELLI_BLOCK
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            report = verify_commutativity(ctx, table=table)
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert report.ok
-        # the memo holds a dim x 64 int64 block for each prefix still to
-        # be read, and none may outlive the suite without the cyclic
-        # collector
-        assert peak - before > 10 * block_bytes
-        assert after - before < block_bytes
-
-    def test_peak_bounded_by_live_prefixes(self, ctx_of, table_of):
-        # at most 2, 18 and 30 prefixes are live at once here, each a
-        # block of dim x 64 int64 entries (dim x 60 at G(1,60), one
-        # block), and a Pieri apply adds 4 to 7 blocks of transients.
-        # Whole columns peaked at about 6, 24 and 36 dim x dim matrices,
-        # about 6, 47 and 143 blocks
-        for (k, n), live, bound in [((1, 60), 2, 8), ((4, 9), 18, 26),
-                                    ((5, 10), 30, 40)]:
-            ctx, table = ctx_of(k, n), table_of(k, n)
-            block_bytes = 8 * ctx.dim * min(quantum._GIAMBELLI_BLOCK,
-                                            ctx.dim)
-            verify_commutativity(ctx, table=table)   # fill the caches
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                report = verify_commutativity(ctx, table=table)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert report.ok
-            assert f"peak {live} live prefixes" in report.stats[0]
-            assert peak - before < bound * block_bytes, (k, n)
-
-    def test_one_apply_per_prefix(self, ctx_of, monkeypatch):
-        pieri_apply = quantum._pieri_apply
-        calls = []
-
-        def counted(ctx):
-            apply = pieri_apply(ctx)
-
-            def count(r, x, peak):
-                # the peak passed in is the block's own
-                assert peak == int(np.abs(x).max())
-                calls.append((r, x.shape[1]))
-                return apply(r, x, peak)
-            return count
-
-        monkeypatch.setattr(quantum, "_pieri_apply", counted)
-        # (4, 9) has dim 126: a block of 64 columns and one of 62
-        for width in [quantum._GIAMBELLI_BLOCK, 4]:
-            monkeypatch.setattr(quantum, "_GIAMBELLI_BLOCK", width)
-            for k, n in all_contexts(7) + [(4, 9), (1, 30)]:
-                ctx = ctx_of(k, n)
-                calls.clear()
-                starts = [lo for lo, *_ in _giambelli_matrices(
-                    ctx, quantum._pieri_apply(ctx))]
-                los = list(range(0, ctx.dim, width))
-                assert starts == [lo for lo in los for _ in range(ctx.dim)]
-                # dim - 1 applies per block, the same rows in each
-                assert len(calls) == len(los) * (ctx.dim - 1), (k, n)
-                rows = [r for r, _ in calls]
-                first = rows[:ctx.dim - 1]
-                assert rows == first * len(los), (k, n, width)
-                widths = [w for _, w in calls]
-                assert widths == [min(width, ctx.dim - lo) for lo in los
-                                  for _ in first], (k, n, width)
+                                 (last, b, 0): 1})
+        report = verify_certificate(ctx, table=bad)
+        assert _named_pairs(report) == {
+            (trim(ctx.basis[a]), trim(ctx.basis[last])),
+            (trim(ctx.basis[last]), trim(ctx.basis[b]))}
 
 
 def _grading_reference(ctx, table):
@@ -829,13 +726,14 @@ class TestStructureTable:
             bar_rank = np.array([ctx.rank(partitions.bar_involution(lam, k))
                                  for lam in ctx.basis])
             # the paper's theorem: M_(bar lam) is M_lam transposed
-            assert table.transpose_mismatches(bar_rank).tolist() == [], (k, n)
+            flagged, compared = table.transpose_mismatches(bar_rank)
+            assert flagged.tolist() == [] and compared == ctx.dim, (k, n)
             # read against itself, a matrix fails where it is not symmetric
             ranks = np.arange(ctx.dim)
             unsymmetric = [r for r in range(ctx.dim)
                            if not np.array_equal(table.basis_matrix(r),
                                                  table.basis_matrix(r).T)]
-            assert table.transpose_mismatches(ranks).tolist() == \
+            assert table.transpose_mismatches(ranks)[0].tolist() == \
                 unsymmetric, (k, n)
 
     def test_rank_outside_basis(self, table_of):
@@ -940,8 +838,8 @@ class TestStructureTable:
     def test_degree_keeping_wrong_shift_reaches_the_oracle(
             self, ctx_of, table_of, monkeypatch, k, n, lam, mu):
         # swapping two diagrams of one degree keeps every copy's degrees,
-        # so the build accepts it, and the Giambelli oracle names every
-        # wrong matrix, the first of them a copy
+        # so the build accepts it, and the certificate names every wrong
+        # product, the first wrong matrix a copy
         ctx, table = ctx_of(k, n), table_of(k, n)
         powers = self._wrong_shift(monkeypatch, ctx, ctx.rank(lam),
                                    ctx.rank(mu))
@@ -949,10 +847,10 @@ class TestStructureTable:
         wrong = {r for r in range(ctx.dim)
                  if (bad.basis_matrix(r) != table.basis_matrix(r)).any()}
         assert wrong and powers.min(axis=0)[min(wrong)] != min(wrong)
-        report = verify_commutativity(ctx, table=bad)
-        firsts = {ctx.rank(ctx.validate(f["pair"][0]))
-                  for f in report.failures if "table" in f}
-        assert firsts == wrong
+        report = verify_certificate(ctx, table=bad)
+        named = _named_pairs(report)
+        assert named == _changed_pairs(ctx, bad, table)
+        assert {ctx.rank(ctx.validate(lam)) for lam, _ in named} == wrong
 
     def test_build_reads_no_combinatorial_shift(self, ctx_of, table_of,
                                                 monkeypatch):
